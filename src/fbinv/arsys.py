@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    DegreeMismatch,
     EllTooSmall,
     NotHomogeneous,
     RankDeficient,
@@ -122,7 +123,8 @@ def _vectorize(vec: Sequence[HomPoly], comp_degrees: Sequence[int], offsets, tot
             continue
         # structurally-zero components may carry a stale degree label; nonzero
         # ones must fill their slot exactly
-        assert poly.degree == d, "component degree does not match the layout"
+        if poly.degree != d:
+            raise DegreeMismatch("component degree does not match the layout")
         base = offsets[j]
         for k, c in enumerate(poly.coeffs):
             flat[base + k] = c

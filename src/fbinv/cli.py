@@ -8,6 +8,7 @@ budget ran out or a certification could not be completed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -226,19 +227,20 @@ def _render_text(report, stream):
     walk(report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fbinv",
         description="Exact decision procedures for output-feedback invariants of linear systems.",
     )
-    default_seed = int(os.environ.get("FBINV_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", help="input system file (JSON)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=int)  # None: read FBINV_SEED in main
         p.add_argument("--budget", type=int, default=2000, help="Groebner S-pair budget")
         p.add_argument("--max-degree", type=int, default=60, help="Groebner total-degree budget")
         p.add_argument("-o", "--output", help="also write the result payload to this path")
@@ -291,8 +293,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.seed is None:
+        args.seed = int(os.environ.get("FBINV_SEED", "0"))
     try:
         code, report, payload = _HANDLERS[args.command](args)
     except FbinvError as exc:

@@ -61,6 +61,10 @@ class SyzygyBudgetExceeded(FbinvError):
     """
 
 
+class WitnessCheckFailed(FbinvError):
+    """A witness failed the independent check that certifies it."""
+
+
 class NotObservable(FbinvError):
     pass
 

@@ -65,10 +65,6 @@ class GrassmannPoint:
                 break
         return tuple(coords)
 
-    def contains_vector(self, vector: Sequence[Fraction]) -> bool:
-        stacked = self.canonical_basis.vstack(RatMatrix.from_rows([vector], self.ambient_dim))
-        return stacked.rank() == self.subspace_dim
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GrassmannPoint)

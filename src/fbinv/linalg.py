@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, SingularMatrix
+from .errors import NotSquare, ShapeMismatch, SingularMatrix
 
 Rational = Fraction
 
@@ -204,9 +204,6 @@ class RatMatrix:
                     work[i] = [a - f * b for a, b in zip(work[i], work[k])]
         return det * sign
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
@@ -222,5 +219,37 @@ def block_matrix(blocks: Sequence[Sequence[RatMatrix]]) -> RatMatrix:
         for b in block_row[1:]:
             acc = acc.hstack(b)
         rows = acc if rows is None else rows.vstack(acc)
-    assert rows is not None
+    if rows is None:
+        raise ShapeMismatch("block matrix with no block rows")
     return rows
+
+
+def subset_det(grid: Sequence[Sequence], one):
+    """Determinant of a square grid by column-subset dynamic programming.
+
+    Works for any entry type with `is_zero`, `+`, `*` and unary `-`; `one` is
+    the multiplicative unit of that type.  Returns None when the determinant
+    vanishes, so each caller can build the zero of its own type.
+    """
+    n = len(grid)
+    if any(len(row) != n for row in grid):
+        raise NotSquare("determinant of a non-square grid")
+    acc = {0: one}
+    for row in grid:
+        entries = [(c, 1 << c, e) for c, e in enumerate(row) if not e.is_zero()]
+        nxt = {}
+        for mask, val in acc.items():
+            if val.is_zero():
+                continue
+            for c, bit, e in entries:
+                if mask & bit:
+                    continue
+                # sign of the permutation: columns already taken to the right of c
+                term = val * e if bin(mask >> (c + 1)).count("1") % 2 == 0 else val * -e
+                key = mask | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        if not nxt:
+            return None
+        acc = nxt
+    det = acc[(1 << n) - 1]
+    return None if det.is_zero() else det

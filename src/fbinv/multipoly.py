@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DegreeMismatch, NotSquare
-from .linalg import ONE, ZERO, frac
+from .linalg import ONE, ZERO, frac, subset_det
 
 Exponents = tuple[int, ...]
 OrderKey = Callable[[Exponents], tuple]
@@ -69,9 +69,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get(tuple(0 for _ in self.variables), ZERO)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -170,17 +167,6 @@ class MultiPoly:
             acc += term
         return acc
 
-    def restrict(self, variables: Sequence[str], positions: Sequence[int]) -> "MultiPoly":
-        """Project onto a sub-list of variables; other exponents must be zero."""
-        pos = tuple(positions)
-        keep = set(pos)
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            if any(e and i not in keep for i, e in enumerate(exps)):
-                raise DegreeMismatch("polynomial involves a dropped variable")
-            out[tuple(exps[i] for i in pos)] = c
-        return MultiPoly(variables, out)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -242,35 +228,8 @@ def exact_div(f: MultiPoly, g: MultiPoly, key: OrderKey = grevlex_key) -> MultiP
 
 def mp_det(grid: Sequence[Sequence[MultiPoly]], variables: Sequence[str]) -> MultiPoly:
     """Determinant of a MultiPoly grid by column-subset dynamic programming."""
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise NotSquare("determinant of a non-square grid")
-    if n == 0:
-        return MultiPoly.constant(variables, 1)
-    acc = {0: MultiPoly.constant(variables, 1)}
-    for i in range(n):
-        nxt: dict[int, MultiPoly] = {}
-        for mask, val in acc.items():
-            if val.is_zero():
-                continue
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                e = grid[i][c]
-                if e.is_zero():
-                    continue
-                inversions = bin(mask >> (c + 1)).count("1")
-                term = val * e if inversions % 2 == 0 else (val * e).scale(-1)
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        acc = nxt
-        if not acc:
-            return MultiPoly(variables)
-    return acc.get((1 << n) - 1, MultiPoly(variables))
+    det = subset_det(grid, MultiPoly.constant(variables, 1))
+    return MultiPoly(variables) if det is None else det
 
 
 def bareiss_rank(grid: list[list[MultiPoly]], variables: Sequence[str]) -> int:

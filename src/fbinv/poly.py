@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DegreeExceeded, DegreeMismatch, NotSquare
-from .linalg import ONE, ZERO, frac
+from .errors import DegreeExceeded, DegreeMismatch
+from .linalg import ONE, ZERO, frac, subset_det
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,6 @@ class HomPoly:
                 return self.degree - j
         return self.degree + 1
 
-    def with_degree(self, degree: int) -> "HomPoly":
-        """Relabel a zero polynomial; identity on nonzero ones of matching degree."""
-        if self.degree == degree:
-            return self
-        if self.is_zero():
-            return HomPoly.zero(degree)
-        raise DegreeMismatch("cannot relabel a nonzero polynomial")
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -299,74 +291,7 @@ def hom_eval(h: HomPoly, s0, t0) -> Fraction:
     return h.eval(s0, t0)
 
 
-# ---------------------------------------------------------------------------
-# Small helpers for grids of UniPoly (used by matrix fraction descriptions and
-# by the exact oracles in the test-suite).
-
-
-def uni_mat_mul_rat(grid: Sequence[Sequence[UniPoly]], mat) -> list[list[UniPoly]]:
-    """Multiply a UniPoly grid on the right by a RatMatrix."""
-    rows = len(grid)
-    inner = len(grid[0]) if rows else 0
-    if inner != mat.rows:
-        raise NotSquare(f"inner dimensions {inner} and {mat.rows} differ")
-    out = []
-    for i in range(rows):
-        out.append(
-            [
-                sum((grid[i][k].scale(mat.entries[k][j]) for k in range(inner)), UniPoly.zero())
-                for j in range(mat.cols)
-            ]
-        )
-    return out
-
-
-def uni_mat_mul(a: Sequence[Sequence[UniPoly]], b: Sequence[Sequence[UniPoly]]) -> list[list[UniPoly]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        out.append(
-            [sum((a[i][k] * b[k][j] for k in range(inner)), UniPoly.zero()) for j in range(cols)]
-        )
-    return out
-
-
 def uni_mat_det(grid: Sequence[Sequence[UniPoly]]) -> UniPoly:
-    """Determinant by column-subset expansion; fine for the small sizes used here."""
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise NotSquare("determinant of a non-square grid")
-    if n == 0:
-        return UniPoly.constant(1)
-    acc = {0: UniPoly.constant(1)}
-    for i in range(n):
-        nxt: dict[int, UniPoly] = {}
-        for mask, val in acc.items():
-            if val.is_zero():
-                continue
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                e = grid[i][c]
-                if e.is_zero():
-                    continue
-                inversions = bin(mask >> (c + 1)).count("1")
-                term = val * e if inversions % 2 == 0 else val * e.scale(-1)
-                key = mask | bit
-                nxt[key] = nxt.get(key, UniPoly.zero()) + term
-        acc = nxt
-        if not acc:
-            return UniPoly.zero()
-    return acc.get((1 << n) - 1, UniPoly.zero())
-
-
-def uni_mat_adjugate(grid: Sequence[Sequence[UniPoly]]) -> list[list[UniPoly]]:
-    n = len(grid)
-    adj = [[UniPoly.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[grid[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = uni_mat_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else cof.scale(-1)
-    return adj
+    """Determinant of a UniPoly grid by column-subset dynamic programming."""
+    det = subset_det(grid, UniPoly.constant(1))
+    return UniPoly.zero() if det is None else det

@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import AllZero, BadSize, NotSquare, ShapeMismatch, ZeroPoint
-from .linalg import RatMatrix, frac
+from .linalg import RatMatrix, frac, subset_det
 from .multipoly import MultiPoly, bareiss_det, bareiss_rank
 from .poly import HomPoly, UniPoly, homogenize
 
@@ -101,35 +101,10 @@ def determinant(matrix: HomPolyMatrix) -> HomPoly:
     homogeneous of the summed degrees; a vanishing determinant keeps the
     summed row degrees as its formal label.
     """
-    if matrix.rows != matrix.cols:
-        raise NotSquare("determinant of a non-square matrix")
-    n = matrix.rows
-    acc: dict[int, HomPoly] = {0: HomPoly.constant(1)}
-    for i in range(n):
-        nxt: dict[int, HomPoly] = {}
-        for mask, val in acc.items():
-            if val.is_zero():
-                continue
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                e = matrix.entries[i][c]
-                if e.is_zero():
-                    continue
-                inversions = bin(mask >> (c + 1)).count("1")
-                term = val * e if inversions % 2 == 0 else val * e.scale(-1)
-                key = mask | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        acc = nxt
-        if not acc:
-            break
-    full = (1 << n) - 1
-    result = acc.get(full)
-    if result is None or result.is_zero():
-        label = sum(matrix.row_degree_label(i) for i in range(n))
-        return HomPoly.zero(label)
-    return result
+    det = subset_det(matrix.entries, HomPoly.constant(1))
+    if det is None:
+        return HomPoly.zero(sum(matrix.row_degree_label(i) for i in range(matrix.rows)))
+    return det
 
 
 def elimination_determinant(matrix: HomPolyMatrix) -> HomPoly:
@@ -205,11 +180,3 @@ def _core_unipoly(f: HomPoly) -> UniPoly:
     jmin = f.t_valuation()
     jmax = f.degree - f.s_valuation()
     return UniPoly.from_coeffs([f.coeffs[jmax - a] for a in range(jmax - jmin + 1)])
-
-
-def hom_matrix_from_unipolys(rows: Sequence[Sequence[UniPoly]], row_degrees: Sequence[int]) -> HomPolyMatrix:
-    """Homogenize each grid row to its declared degree."""
-    grid = []
-    for row, d in zip(rows, row_degrees):
-        grid.append(tuple(homogenize(f, d) for f in row))
-    return HomPolyMatrix.from_rows(grid)

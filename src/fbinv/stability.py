@@ -21,6 +21,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .arsys import ARSystem, compute_Q, observable_part
+from .errors import WitnessCheckFailed
 from .ideals import (
     DEFAULT_BUDGET,
     GroebnerBudget,
@@ -136,43 +137,13 @@ def stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
     return determinant(HomPolyMatrix.from_rows(rows))
 
 
-def laplace_stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
-    """det [P; K] via the expansion along the P-block.
-
-    Pairs each maximal minor p_I of P with the complementary minor of K and
-    the sign (-1)^(sum I - p(p-1)/2); kept separate from `stacked_determinant`
-    so the identity can be tested between two independent routes.
-    """
-    p = P.rows
-    width = P.cols
-    minors = maximal_minors(P, p)
-    acc: HomPoly | None = None
-    base = p * (p - 1) // 2
-    for idx, cols in enumerate(combinations(range(width), p)):
-        comp = [c for c in range(width) if c not in cols]
-        kminor = K.submatrix(range(K.rows), comp).det()
-        if kminor == 0 or minors[idx].is_zero():
-            continue
-        sign = -1 if (sum(cols) - base) % 2 else 1
-        term = minors[idx].scale(sign * kminor)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return HomPoly.zero(sum(P.row_degree_label(i) for i in range(p)))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Echelon charts
 
 
-def echelon_charts(ambient: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Pivot-column subsets of the reduced-echelon cells, in lexicographic order."""
-    yield from combinations(range(ambient), k)
-
-
 def chart_parameter_matrix(
     pivots: Sequence[int], ambient: int
-) -> tuple[list[list[MultiPoly | None]], list[str], list[tuple[int, int]]]:
+) -> tuple[list[list[MultiPoly]], tuple[str, ...], list[tuple[int, int]]]:
     """Rows of a reduced-echelon matrix with the given pivot columns.
 
     Entries are None (zero), 1-markers, or parameter positions; returned as a
@@ -186,8 +157,7 @@ def chart_parameter_matrix(
         for j in range(ambient)
         if j > pivots[i] and j not in pivot_set
     ]
-    names = [f"x{i}_{j}" for i, j in slots]
-    variables = tuple(names)
+    variables = tuple(f"x{i}_{j}" for i, j in slots)
     index = {slot: pos for pos, slot in enumerate(slots)}
     grid: list[list[MultiPoly]] = []
     for i in range(k):
@@ -200,7 +170,7 @@ def chart_parameter_matrix(
             else:
                 row.append(MultiPoly.zero(variables))
         grid.append(row)
-    return grid, list(variables), slots
+    return grid, variables, slots
 
 
 def _chart_point_matrix(
@@ -231,6 +201,25 @@ def _witness_from_chart(verdict_basis, generators, pivots, ambient, slots) -> Ra
     return None
 
 
+def _chart_search(ambient, k, chart_system, accept, budget) -> Iterator[ChartReport]:
+    """Decide the reduced-echelon charts of Grass(k, ambient) in lexicographic order.
+
+    `chart_system(pivots)` returns the chart's generators and parameter slots.
+    A solvable chart carries the rational point found on it, kept only when
+    `accept` confirms it by a route independent of the chart system.
+    """
+    for pivots in combinations(range(ambient), k):
+        generators, slots = chart_system(pivots)
+        nonzero = [g for g in generators if not g.is_zero()]
+        verdict = groebner(nonzero, budget)
+        witness = None
+        if verdict.status == IdealStatus.HAS_COMPLEX_SOLUTION:
+            witness = _witness_from_chart(verdict.basis, nonzero, pivots, ambient, slots)
+            if witness is not None and not accept(witness):  # pragma: no cover - defensive
+                witness = None
+        yield ChartReport(pivots, verdict.status.value, witness)
+
+
 # ---------------------------------------------------------------------------
 # Nondegeneracy
 
@@ -246,39 +235,27 @@ def is_nondegenerate(ar: ARSystem, budget: GroebnerBudget = DEFAULT_BUDGET) -> D
         return _miso_nondegenerate(ar)
     minors = maximal_minors(ar.P, ar.p)
     subsets = list(combinations(range(ar.external_dim), ar.p))
-    reports: list[ChartReport] = []
-    first_solvable: tuple[int, ...] | None = None
-    exceeded = False
-    degenerate = False
-    primary: tuple[RatMatrix, tuple[int, ...]] | None = None
-    for pivots in echelon_charts(ar.external_dim, ar.m):
-        generators, variables, slots = _degeneracy_chart_system(ar, pivots, minors, subsets)
-        nonzero = [g for g in generators if not g.is_zero()]
-        verdict = groebner(nonzero, budget)
-        if verdict.status == IdealStatus.BUDGET_EXCEEDED:
-            exceeded = True
-            reports.append(ChartReport(pivots, verdict.status.value))
-            continue
-        if verdict.status == IdealStatus.NO_COMPLEX_SOLUTION:
-            reports.append(ChartReport(pivots, verdict.status.value))
-            continue
-        degenerate = True
-        if first_solvable is None:
-            first_solvable = pivots
-        witness = _witness_from_chart(verdict.basis, nonzero, pivots, ar.external_dim, slots)
-        if witness is not None and (
-            not stacked_determinant(ar.P, witness).is_zero() or witness.rank() != ar.m
-        ):  # pragma: no cover - defensive
-            witness = None
-        reports.append(ChartReport(pivots, verdict.status.value, witness))
-        if witness is not None and primary is None:
-            primary = (witness, pivots)
-    if degenerate:
-        witness, chart = primary if primary is not None else (None, first_solvable)
-        return DegeneracyVerdict(DegeneracyStatus.DEGENERATE, witness, chart, tuple(reports))
-    if exceeded:
-        return DegeneracyVerdict(DegeneracyStatus.NOT_CERTIFIED, None, None, tuple(reports))
-    return DegeneracyVerdict(DegeneracyStatus.NONDEGENERATE, None, None, tuple(reports))
+    reports = tuple(
+        _chart_search(
+            ar.external_dim,
+            ar.m,
+            lambda pivots: _degeneracy_chart_system(ar, pivots, minors, subsets),
+            lambda K: _kills_stacked_determinant(ar, K),
+            budget,
+        )
+    )
+    solvable = [r for r in reports if r.status == IdealStatus.HAS_COMPLEX_SOLUTION]
+    if solvable:
+        primary = next((r for r in solvable if r.witness is not None), solvable[0])
+        return DegeneracyVerdict(DegeneracyStatus.DEGENERATE, primary.witness, primary.chart, reports)
+    if any(r.status == IdealStatus.BUDGET_EXCEEDED for r in reports):
+        return DegeneracyVerdict(DegeneracyStatus.NOT_CERTIFIED, None, None, reports)
+    return DegeneracyVerdict(DegeneracyStatus.NONDEGENERATE, None, None, reports)
+
+
+def _kills_stacked_determinant(ar: ARSystem, K: RatMatrix) -> bool:
+    """Is K a degeneracy witness: det [P; K] identically zero and rank K = m?"""
+    return stacked_determinant(ar.P, K).is_zero() and K.rank() == ar.m
 
 
 def _miso_nondegenerate(ar: ARSystem) -> DegeneracyVerdict:
@@ -293,8 +270,8 @@ def _miso_nondegenerate(ar: ARSystem) -> DegeneracyVerdict:
     # kernel is spanned by c has signed minors proportional to c
     c = coeffs.transpose().right_nullspace().entries[0]
     witness, chart = RatMatrix.from_rows([c]).right_nullspace().rref()
-    assert stacked_determinant(ar.P, witness).is_zero()
-    assert witness.rank() == ar.m
+    if not _kills_stacked_determinant(ar, witness):  # pragma: no cover - defensive
+        raise WitnessCheckFailed("single-output degeneracy witness does not kill det [P; K]")
     return DegeneracyVerdict(DegeneracyStatus.DEGENERATE, witness, chart, ())
 
 
@@ -304,20 +281,20 @@ def _degeneracy_chart_system(ar: ARSystem, pivots, minors, subsets):
     width = ar.external_dim
     n = ar.n
     base = ar.p * (ar.p - 1) // 2
-    gens = [MultiPoly.zero(tuple(variables)) for _ in range(n + 1)]
+    gens = [MultiPoly.zero(variables) for _ in range(n + 1)]
     for idx, cols in enumerate(subsets):
         pI = minors[idx]
         if pI.is_zero():
             continue
         comp = [c for c in range(width) if c not in cols]
-        kminor = mp_det([[grid[i][j] for j in comp] for i in range(ar.m)], tuple(variables))
+        kminor = mp_det([[grid[i][j] for j in comp] for i in range(ar.m)], variables)
         if kminor.is_zero():
             continue
         sign = -1 if (sum(cols) - base) % 2 else 1
         for a, coeff in enumerate(pI.coeffs):
             if coeff != 0:
                 gens[a] = gens[a] + kminor.scale(sign * coeff)
-    return gens, variables, slots
+    return gens, slots
 
 
 # ---------------------------------------------------------------------------
@@ -378,29 +355,19 @@ def _exhaustive_check(Q, bounds, width, budget) -> StabilityVerdict:
     details = []
     witness = None
     for bound in bounds:
-        strict_exists, strict_unc, strict_wit = _exists_low_rank_subspace(
-            Q, width, bound.h, bound.strict_bound - 1, budget
-        )
+        strict_low, strict_wit = _exists_low_rank_subspace(Q, width, bound.h, bound.strict_bound - 1, budget)
         if bound.weak_bound == bound.strict_bound:
-            weak_exists, weak_unc, weak_wit = strict_exists, strict_unc, strict_wit
-        elif strict_exists is False and not strict_unc:
+            weak_low, weak_wit = strict_low, strict_wit
+        elif strict_low is False:
             # nothing even below the strict bound, so nothing below the weak one
-            weak_exists, weak_unc, weak_wit = False, False, None
+            weak_low, weak_wit = False, None
         else:
-            weak_exists, weak_unc, weak_wit = _exists_low_rank_subspace(
-                Q, width, bound.h, bound.weak_bound - 1, budget
-            )
-        strict_ok = False if strict_exists else (None if strict_unc else True)
-        weak_ok = False if weak_exists else (None if weak_unc else True)
-        achieved = None
-        if weak_ok is True and strict_ok is True:
-            achieved = bound.strict_bound
-        elif weak_ok is True:
-            achieved = bound.weak_bound
-        if weak_exists and witness is None:
-            witness = weak_wit
-        elif strict_exists and witness is None:
-            witness = strict_wit
+            weak_low, weak_wit = _exists_low_rank_subspace(Q, width, bound.h, bound.weak_bound - 1, budget)
+        strict_ok = None if strict_low is None else not strict_low
+        weak_ok = None if weak_low is None else not weak_low
+        achieved = bound.strict_bound if strict_ok else (bound.weak_bound if weak_ok else None)
+        if witness is None:
+            witness = weak_wit if weak_low else strict_wit
         details.append(
             RankReport(bound.h, bound.weak_bound, bound.strict_bound, achieved, strict_ok, weak_ok)
         )
@@ -417,38 +384,33 @@ def _exhaustive_check(Q, bounds, width, budget) -> StabilityVerdict:
 
 def _exists_low_rank_subspace(
     Q: HomPolyMatrix, width: int, h: int, r: int, budget: GroebnerBudget
-) -> tuple[bool, bool, RatMatrix | None]:
+) -> tuple[bool | None, RatMatrix | None]:
     """Is there an h-dimensional H with generic rank of Q H^T at most r?
 
-    Returns (exists, undecided_within_budget, witness_or_None).
+    Returns (exists, witness_or_None); exists is None when undecided within budget.
     """
     if r < 0:
-        return False, False, None
+        return False, None
     if r >= min(Q.rows, h):
-        return True, False, None  # pragma: no cover - bounds keep r below this
+        return True, None  # pragma: no cover - bounds keep r below this
     exceeded = False
-    for pivots in echelon_charts(width, h):
-        generators, variables, slots = _rank_chart_system(Q, pivots, width, h, r)
-        nonzero = [g for g in generators if not g.is_zero()]
-        verdict = groebner(nonzero, budget)
-        if verdict.status == IdealStatus.BUDGET_EXCEEDED:
-            exceeded = True
-            continue
-        if verdict.status == IdealStatus.NO_COMPLEX_SOLUTION:
-            continue
-        witness = _witness_from_chart(verdict.basis, nonzero, pivots, width, slots)
-        if witness is not None:
-            moved = Q.mul_rat(witness.transpose())
-            if generic_rank(moved) > r:  # pragma: no cover - defensive
-                witness = None
-        return True, False, witness
-    return False, exceeded, None
+    for report in _chart_search(
+        width,
+        h,
+        lambda pivots: _rank_chart_system(Q, pivots, width, h, r),
+        lambda H: generic_rank(Q.mul_rat(H.transpose())) <= r,
+        budget,
+    ):
+        if report.status == IdealStatus.HAS_COMPLEX_SOLUTION:
+            return True, report.witness
+        exceeded = exceeded or report.status == IdealStatus.BUDGET_EXCEEDED
+    return (None if exceeded else False), None
 
 
 def _rank_chart_system(Q: HomPolyMatrix, pivots, width, h, r):
     """All (r+1)-minors of Q(s,t) H^T == 0, as polynomials in chart parameters."""
     grid, variables, slots = chart_parameter_matrix(pivots, width)
-    full_vars = tuple(list(variables) + ["s", "t"])
+    full_vars = variables + ("s", "t")
     nparams = len(variables)
 
     def lift_param(poly: MultiPoly) -> MultiPoly:
@@ -481,7 +443,7 @@ def _rank_chart_system(Q: HomPolyMatrix, pivots, width, h, r):
         for cols_idx in combinations(range(h), size):
             minor = mp_det([[product[i][j] for j in cols_idx] for i in rows_idx], full_vars)
             generators.extend(_split_by_st(minor, variables, nparams))
-    return generators, variables, slots
+    return generators, slots
 
 
 def _split_by_st(poly: MultiPoly, param_vars, nparams) -> list[MultiPoly]:

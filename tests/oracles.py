@@ -4,10 +4,59 @@ These recompute expected values by routes that share nothing with the library
 paths under test (adjugate identities, Kalman rank tests, brute-force spans).
 """
 
+from itertools import combinations
+from typing import Sequence
+
 from fbinv.linalg import RatMatrix
-from fbinv.poly import UniPoly, uni_mat_adjugate, uni_mat_det, uni_mat_mul
-from fbinv.polymatrix import maximal_minors, poly_gcd_list
+from fbinv.poly import HomPoly, UniPoly, uni_mat_det
+from fbinv.polymatrix import HomPolyMatrix, maximal_minors, poly_gcd_list
 from fbinv.realization import MFD, StateSpace, to_hom_ar
+
+
+def uni_mat_mul(a: Sequence[Sequence[UniPoly]], b: Sequence[Sequence[UniPoly]]) -> list[list[UniPoly]]:
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(rows):
+        out.append(
+            [sum((a[i][k] * b[k][j] for k in range(inner)), UniPoly.zero()) for j in range(cols)]
+        )
+    return out
+
+
+def uni_mat_adjugate(grid: Sequence[Sequence[UniPoly]]) -> list[list[UniPoly]]:
+    n = len(grid)
+    adj = [[UniPoly.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[grid[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = uni_mat_det(minor)
+            adj[j][i] = cof if (i + j) % 2 == 0 else cof.scale(-1)
+    return adj
+
+
+def laplace_stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
+    """det [P; K] via the expansion along the P-block.
+
+    Pairs each maximal minor p_I of P with the complementary minor of K and
+    the sign (-1)^(sum I - p(p-1)/2); kept separate from `stacked_determinant`
+    so the identity can be tested between two independent routes.
+    """
+    p = P.rows
+    width = P.cols
+    minors = maximal_minors(P, p)
+    acc: HomPoly | None = None
+    base = p * (p - 1) // 2
+    for idx, cols in enumerate(combinations(range(width), p)):
+        comp = [c for c in range(width) if c not in cols]
+        kminor = K.submatrix(range(K.rows), comp).det()
+        if kminor == 0 or minors[idx].is_zero():
+            continue
+        sign = -1 if (sum(cols) - base) % 2 else 1
+        term = minors[idx].scale(sign * kminor)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return HomPoly.zero(sum(P.row_degree_label(i) for i in range(p)))
+    return acc
 
 
 def char_matrix(ss: StateSpace) -> list[list[UniPoly]]:

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fbinv.errors import SingularMatrix
-from fbinv.linalg import RatMatrix, frac, rref
+from fbinv.errors import ShapeMismatch, SingularMatrix
+from fbinv.linalg import RatMatrix, block_matrix, frac, rref
 
 
 def M(rows):
@@ -70,3 +70,8 @@ def test_matmul_and_stack():
     assert a.hstack(b).cols == 4
     assert a.vstack(b).rows == 4
     assert a.transpose() == M([[1, 3], [2, 4]])
+
+
+def test_block_matrix_without_blocks_raises():
+    with pytest.raises(ShapeMismatch):
+        block_matrix([])

@@ -10,10 +10,9 @@ from fbinv.poly import (
     dehomogenize,
     hom_eval,
     homogenize,
-    uni_mat_adjugate,
     uni_mat_det,
-    uni_mat_mul,
 )
+from oracles import uni_mat_adjugate, uni_mat_mul
 
 
 def up(*coeffs):

@@ -1,4 +1,7 @@
 import random
+
+import pytest
+
 from fbinv.arsys import act_T, validate
 from fbinv.ideals import GroebnerBudget
 from fbinv.linalg import RatMatrix
@@ -13,11 +16,11 @@ from fbinv.stability import (
     StabilityStatus,
     euler_characteristic,
     is_nondegenerate,
-    laplace_stacked_determinant,
     nondegenerate_implies_stable_suite,
     stability_check,
     stacked_determinant,
 )
+from oracles import laplace_stacked_determinant
 
 S = HomPoly.monomial(1, 1, 0)
 T = HomPoly.monomial(1, 0, 1)
@@ -157,6 +160,26 @@ def test_reference_exhaustive_stable():
     ar = reference_system()
     verdict = stability_check(ar, budget=GroebnerBudget(max_pairs=4000, max_degree=60))
     assert verdict.status == StabilityStatus.STABLE_CERTIFIED
+
+
+@pytest.mark.parametrize(
+    "max_pairs, status, rows",
+    [
+        (0, StabilityStatus.NOT_CERTIFIED, {1: None, 2: None, 3: None, 4: None}),
+        (1, StabilityStatus.NOT_CERTIFIED, {1: None, 2: None, 3: None, 4: True}),
+        (3, StabilityStatus.NOT_CERTIFIED, {1: True, 2: None, 3: None, 4: True}),
+        (10, StabilityStatus.STABLE_CERTIFIED, {1: True, 2: True, 3: True, 4: True}),
+    ],
+)
+def test_reference_exhaustive_budget_ladder(max_pairs, status, rows):
+    """A chart that runs out of S-pairs leaves its h undecided, never decided."""
+    verdict = stability_check(reference_system(), budget=GroebnerBudget(max_pairs=max_pairs))
+    assert verdict.status == status
+    assert {r.h: (r.strict_ok, r.weak_ok) for r in verdict.details} == {
+        h: (ok, ok) for h, ok in rows.items()
+    }
+    assert all((r.achieved is None) == (r.weak_ok is None) for r in verdict.details)
+    assert verdict.witness is None
 
 
 def test_stability_invariant_under_action():
