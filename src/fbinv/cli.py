@@ -292,11 +292,19 @@ _HANDLERS = {
 }
 
 
+def _env_seed() -> int:
+    raw = os.environ.get("FBINV_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"FBINV_SEED must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("FBINV_SEED", "0"))
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         code, report, payload = _HANDLERS[args.command](args)
     except FbinvError as exc:
         error_report = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}

@@ -10,12 +10,13 @@ a wrong answer.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import ONE, frac
+from .linalg import ONE
 from .multipoly import (
     MultiPoly,
     OrderKey,
@@ -24,6 +25,7 @@ from .multipoly import (
     lex_key,
     normal_form,
 )
+from .poly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -193,58 +195,95 @@ def is_zero_dimensional(basis: Sequence[MultiPoly], key: OrderKey = grevlex_key)
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of a univariate polynomial given by ascending coefficients."""
-    c = [frac(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        return []
-    roots = []
-    lead_shift = 0
-    while c[0] == 0:
-        c.pop(0)
-        lead_shift += 1
-    if lead_shift:
+    """All distinct rational roots, sorted, of a polynomial given by ascending coefficients.
+
+    Exact and polynomial in the coefficient bit size.  A Sturm sequence of the
+    square-free part isolates every real root inside the Cauchy bound; each
+    isolating interval is bisected by the sign of the polynomial until only
+    one fraction with denominator at most |lead| can lie near enough, and that
+    candidate is kept only if it is an exact root.  The zero polynomial has no
+    roots listed.
+    """
+    c = list(UniPoly.from_coeffs(coeffs).coeffs)
+    roots: list[Fraction] = []
+    if c and c[0] == 0:
         roots.append(Fraction(0))
-    if len(c) == 1:
+        while c[0] == 0:
+            c.pop(0)
+    f = UniPoly(tuple(c))
+    if f.degree < 1:
         return roots
-    denom_lcm = 1
-    for x in c:
-        denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in c]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if sum(ci * cand**i for i, ci in enumerate(ints)) == 0:
-                    roots.append(cand)
+    f = f.divmod(f.gcd(_derivative(f)))[0]
+    sturm = [f, _derivative(f)]
+    while sturm[-1].degree > 0:
+        sturm.append(-sturm[-2].divmod(sturm[-1])[1])
+    ints = [_primitive(p) for p in sturm]
+    g = ints[0]
+    lead = abs(g[-1])
+    bound = 1 << (max(abs(a) for a in g[:-1]) // lead + 2).bit_length()
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (_sign_at(p, x) for p in ints) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # (lo, hi] holds variations(lo) - variations(hi) distinct real roots
+    lo, hi = Fraction(-bound), Fraction(bound)
+    stack = [(lo, hi, variations(lo), variations(hi))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            root = _rational_root_in(g, lo, hi, lead)
+            if root is not None:
+                roots.append(root)
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = variations(mid)
+            stack.append((lo, mid, v_lo, v_mid))
+            stack.append((mid, hi, v_mid, v_hi))
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _derivative(f: UniPoly) -> UniPoly:
+    return UniPoly.from_coeffs(k * a for k, a in enumerate(f.coeffs) if k)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _primitive(f: UniPoly) -> list[int]:
+    """Integer coefficients of a positive multiple of f with content 1."""
+    scale = math.lcm(*(a.denominator for a in f.coeffs))
+    ints = [int(a * scale) for a in f.coeffs]
+    content = math.gcd(*ints)
+    return [a // content for a in ints]
+
+
+def _rational_root_in(ints: Sequence[int], lo: Fraction, hi: Fraction, lead: int) -> Fraction | None:
+    """The one root of square-free `ints` in (lo, hi] if it is rational, else None.
+
+    A rational root has a denominator dividing `lead`, and two such fractions
+    lie at least 1/lead^2 apart, so once the interval is narrower than
+    1/(2 lead^2) the root, if rational, is the nearest such fraction to its
+    midpoint.
+    """
+    s_hi = _sign_at(ints, hi)
+    while s_hi and 2 * lead * lead * (hi - lo) >= 1:
+        mid = (lo + hi) / 2
+        s_mid = _sign_at(ints, mid)
+        if s_mid == -s_hi:
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    x = hi if s_hi == 0 else ((lo + hi) / 2).limit_denominator(lead)
+    # x may be a neighbouring interval's root when this one's is irrational
+    return x if lo < x <= hi and _sign_at(ints, x) == 0 else None
+
+
+def _sign_at(ints: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial at x, by Horner on the homogenised form."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for a in reversed(ints):
+        acc = acc * num + a * power
+        power *= den
+    return (acc > 0) - (acc < 0)
 
 
 def solve_if_zero_dimensional(

@@ -4,10 +4,12 @@ These recompute expected values by routes that share nothing with the library
 paths under test (adjugate identities, Kalman rank tests, brute-force spans).
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from fbinv.linalg import RatMatrix
+from fbinv.linalg import RatMatrix, frac
 from fbinv.poly import HomPoly, UniPoly, uni_mat_det
 from fbinv.polymatrix import HomPolyMatrix, maximal_minors, poly_gcd_list
 from fbinv.realization import MFD, StateSpace, to_hom_ar
@@ -109,3 +111,34 @@ def kalman_controllable(A: RatMatrix, B: RatMatrix) -> bool:
         power = A @ power
         blocks = blocks.hstack(power)
     return blocks.rank() == n
+
+
+def trial_division_rational_roots(coeffs: Sequence) -> list[Fraction]:
+    """Rational roots by the rational root theorem: try every +-p/q with p | a0, q | an.
+
+    Exponential in the bit size of a0 and an, so only for small inputs.
+    """
+    c = [frac(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return []
+    roots = []
+    if c[0] == 0:
+        roots.append(Fraction(0))
+        while c[0] == 0:
+            c.pop(0)
+    scale = math.lcm(*(x.denominator for x in c))
+    ints = [int(x * scale) for x in c]
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and sum(a * cand**i for i, a in enumerate(ints)) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))

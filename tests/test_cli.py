@@ -208,6 +208,14 @@ def test_seed_env_default(capsys, reference_file, monkeypatch):
     assert report["seed"] == 9
 
 
+def test_non_integer_seed_env_is_a_parse_error(capsys, reference_file, monkeypatch):
+    monkeypatch.setenv("FBINV_SEED", "abc")
+    code, report = run(capsys, "stability", reference_file, "--mode", "generic")
+    assert code == 2
+    assert report["error"] == "ParseError"
+    assert "FBINV_SEED" in report["message"]
+
+
 def test_reports_are_byte_stable(capsys, reference_file):
     _, first = run(capsys, "stability", reference_file, "--mode", "generic", "--seed", "5")
     main(["stability", reference_file, "--mode", "generic", "--seed", "5"])

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from fbinv.ideals import (
     GroebnerBudget,
     IdealStatus,
@@ -10,6 +12,7 @@ from fbinv.ideals import (
 )
 from fbinv.linalg import RatMatrix
 from fbinv.multipoly import MultiPoly, grevlex_key, normal_form
+from oracles import trial_division_rational_roots
 
 
 def poly(variables, terms):
@@ -129,3 +132,90 @@ def test_rational_roots():
     assert rational_roots([-3, 5, 2]) == [Fraction(-3), Fraction(1, 2)]
     assert rational_roots([0, 1]) == [Fraction(0)]
     assert rational_roots([]) == []
+    assert rational_roots([0, 0, 0]) == []
+    assert rational_roots([7]) == []
+    assert rational_roots([Fraction(-1, 3)]) == []
+    assert rational_roots([0, 0, 5]) == [Fraction(0)]
+    assert rational_roots([1, 0, 1]) == []
+    assert rational_roots([-2, 0, 1]) == []
+    assert rational_roots([Fraction(1, 2), Fraction(-3, 4), Fraction(1, 4)]) == [1, 2]
+
+
+def times_linear(coeffs, a, b):
+    """Ascending coefficients of coeffs * (a x - b)."""
+    out = [0] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] -= b * c
+        out[i + 1] += a * c
+    return out
+
+
+def evaluate(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def test_rational_roots_against_trial_division():
+    rng = random.Random(11)
+    for _ in range(300):
+        coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(0, 9))]
+        assert rational_roots(coeffs) == trial_division_rational_roots(coeffs)
+    for _ in range(200):
+        coeffs = [rng.choice([-3, -2, -1, 1, 2, 3])]
+        for _ in range(rng.randint(0, 2)):
+            coeffs = [c + rng.randint(-2, 2) for c in coeffs] + [rng.randint(1, 3)]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randint(1, 4), rng.randint(-4, 4)  # b = 0 plants the zero root
+            for _ in range(rng.randint(1, 2)):  # repeated roots
+                coeffs = times_linear(coeffs, a, b)
+        if rng.random() < 0.3:
+            coeffs = [Fraction(c, rng.randint(1, 6)) for c in coeffs]
+        assert rational_roots(coeffs) == trial_division_rational_roots(coeffs)
+
+
+def test_rational_roots_with_large_coefficients():
+    """Constant terms of 128 bits and more, far beyond the trial-division oracle."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(10):
+        planted = set()
+        coeffs = [rng.randint(1, 2**20) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(3, 5)):
+            a, b = rng.randint(1, 2**30), rng.choice([-1, 1]) * rng.randint(2**43, 2**50)
+            planted.add(Fraction(b, a))
+            coeffs = times_linear(coeffs, a, b)
+        assert abs(coeffs[0]).bit_length() >= 128
+        roots = rational_roots(coeffs)
+        assert roots == sorted(set(roots))
+        assert all(evaluate(coeffs, r) == 0 for r in roots)
+        assert planted <= set(roots)
+        cases.append((coeffs, roots))
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for coeffs, roots in cases:
+        _, factors = sympy.Poly(list(reversed(coeffs)), x).factor_list()
+        linear = [f.all_coeffs() for f, _ in factors if f.degree() == 1]
+        assert roots == sorted(Fraction(-int(c0), int(c1)) for c1, c0 in linear)
+
+
+def test_rational_roots_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-6, 6)
+    factor = st.tuples(st.integers(1, 6), small)
+
+    @hypothesis.settings(max_examples=75, deadline=None, database=None)
+    @hypothesis.given(st.lists(small, max_size=5), st.lists(factor, max_size=5))
+    def check(base, factors):
+        coeffs = base
+        for a, b in factors:
+            coeffs = times_linear(coeffs, a, b)
+        roots = rational_roots(coeffs)
+        assert all(isinstance(r, Fraction) for r in roots)
+        assert roots == sorted(set(roots))
+        assert all(evaluate(coeffs, r) == 0 for r in roots)
+        if any(coeffs):
+            assert {Fraction(b, a) for a, b in factors} <= set(roots)
+        else:
+            assert roots == []
+
+    check()

@@ -198,3 +198,18 @@ def test_nondegenerate_implies_stable_small_suite():
     for entry in report["sizes"]:
         assert entry["not_certified"] == 0
         assert entry["stable_certified"] == entry["nondegenerate"]
+
+
+@pytest.mark.parametrize(
+    "seed, m, p, n, rows",
+    [(0, 3, 2, 5, None), (0, 2, 3, 5, (2, 2, 1)), (1, 2, 2, 3, [1, 2])],
+)
+def test_witness_with_large_root_finding_inputs(seed, m, p, n, rows):
+    """Charts whose univariate eliminants have constant terms of 41 to 138 bits."""
+    ar = random_ar_system(random.Random(seed), m, p, n, row_degrees=rows)
+    verdict = is_nondegenerate(ar)
+    assert verdict.status == DegeneracyStatus.DEGENERATE
+    assert laplace_stacked_determinant(ar.P, verdict.witness).is_zero()
+    assert verdict.witness.rank() == ar.m
+    stability = stability_check(ar)
+    assert stability.status in (StabilityStatus.STABLE_CERTIFIED, StabilityStatus.SEMISTABLE_CERTIFIED)
