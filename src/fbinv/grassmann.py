@@ -37,11 +37,6 @@ class GrassmannPoint:
         reduced, _ = mat.rref()
         return cls(ambient_dim, reduced)
 
-    @classmethod
-    def from_matrix(cls, mat: RatMatrix) -> "GrassmannPoint":
-        reduced, _ = mat.rref()
-        return cls(mat.cols, reduced)
-
     @property
     def subspace_dim(self) -> int:
         return self.canonical_basis.rows

@@ -2,9 +2,11 @@
 
 The only question the rest of the package ever asks is "does this polynomial
 system have a common complex zero?", which by the Nullstellensatz is "is the
-reduced Groebner basis {1}?".  A budget (S-pairs processed, total degree)
-turns runaway computations into an explicit BudgetExceeded verdict instead of
-a wrong answer.
+reduced Groebner basis {1}?".  Most systems asked about have a constant in
+the linear span of their generators, so a row reduction over the monomials
+runs first and answers those with constant cofactors a caller can check.  A
+budget (S-pairs processed, total degree) turns runaway computations into an
+explicit BudgetExceeded verdict instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import ONE
+from .linalg import ONE, integer_rref
 from .multipoly import (
     MultiPoly,
     OrderKey,
@@ -45,8 +47,17 @@ class IdealStatus(str, Enum):
 
 @dataclass(frozen=True)
 class IdealVerdict:
+    """Solvability verdict with the reduced basis (None when the budget ran out).
+
+    `certificate`, set when a constant lies in the generators' linear span,
+    holds constants c with sum(c[i] * generators[i]) == 1 over the generators
+    exactly as given, zero ones included: a Nullstellensatz certificate that
+    a caller can check by summation alone.
+    """
+
     status: IdealStatus
     basis: tuple[MultiPoly, ...] | None
+    certificate: tuple[Fraction, ...] | None = None
 
     @property
     def solvable(self) -> bool:
@@ -155,10 +166,42 @@ def _reduce_basis(basis: list[MultiPoly], key: OrderKey) -> list[MultiPoly]:
     return kept
 
 
+def _linear_step(
+    generators: Sequence[MultiPoly], variables: tuple[str, ...]
+) -> tuple[list[MultiPoly], tuple[Fraction, ...] | None]:
+    """Row-reduce the generators as vectors over their monomials, grevlex-largest first.
+
+    Returns the nonzero reduced rows as polynomials, which span the same
+    space, or, when a constant lies in that span, the constants c with
+    sum(c[i] * generators[i]) == 1.
+    """
+    one = (0,) * len(variables)
+    monomials = sorted({e for g in generators for e in g.terms}, key=grevlex_key, reverse=True)
+    column = {e: i for i, e in enumerate(monomials)}
+    scales = [math.lcm(*(c.denominator for c in g.terms.values())) for g in generators]
+    rows = [
+        {column[e]: c.numerator * (d // c.denominator) for e, c in g.terms.items()}
+        for g, d in zip(generators, scales)
+    ]
+    reduced = integer_rref(rows, stop=column.get(one))
+    row, cofactors = reduced[-1]
+    pivot = min(row)
+    if monomials[pivot] != one:
+        return [MultiPoly(variables, {monomials[c]: v for c, v in r.items()}) for r, _ in reduced], None
+    certificate = [Fraction(0)] * len(generators)
+    for i, k in cofactors.items():
+        certificate[i] = Fraction(k * scales[i], row[pivot])
+    return [], tuple(certificate)
+
+
 def groebner(generators: Sequence[MultiPoly], budget: GroebnerBudget = DEFAULT_BUDGET) -> IdealVerdict:
     """Reduced grevlex Groebner basis, or a BudgetExceeded verdict.
 
-    The zero ideal (no nonzero generators) is solvable: every point works.
+    The generators are first row-reduced as vectors over their monomials.
+    When a constant lies in their linear span the ideal is {1}, and the
+    verdict carries the certificate with no S-pair processed; otherwise the
+    reduced rows, which generate the same ideal, go to Buchberger.  The zero
+    ideal (no nonzero generators) is solvable: every point works.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -167,9 +210,10 @@ def groebner(generators: Sequence[MultiPoly], budget: GroebnerBudget = DEFAULT_B
     for g in gens:
         if g.variables != variables:
             raise ValueError("generators over different variable lists")
-    if any(g.is_constant() for g in gens):
-        return IdealVerdict(IdealStatus.NO_COMPLEX_SOLUTION, (MultiPoly.constant(variables, 1),))
-    basis, exceeded = _buchberger(gens, budget, grevlex_key)
+    rows, certificate = _linear_step(generators, variables)
+    if certificate is not None:
+        return IdealVerdict(IdealStatus.NO_COMPLEX_SOLUTION, (MultiPoly.constant(variables, 1),), certificate)
+    basis, exceeded = _buchberger(rows, budget, grevlex_key)
     if exceeded:
         return IdealVerdict(IdealStatus.BUDGET_EXCEEDED, None)
     basis_t = tuple(basis)

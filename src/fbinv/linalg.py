@@ -6,9 +6,10 @@ anywhere: ranks, echelon forms and inverses are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotSquare, ShapeMismatch, SingularMatrix
 
@@ -210,6 +211,64 @@ class RatMatrix:
 
 def rref(matrix: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return matrix.rref()
+
+
+SparseRow = dict[int, int]
+
+
+def integer_rref(rows: Sequence[Mapping[int, int]], stop: int | None = None) -> list[tuple[SparseRow, SparseRow]]:
+    """Reduced row echelon form of sparse integer rows, without fractions.
+
+    Each row maps column indices to nonzero ints; pivots are leftmost.  Rows
+    are combined two at a time as `a x - b y` and divided by the content of
+    the row together with its cofactors, so entries stay bounded by minors of
+    the input augmented with the identity.  Returns the nonzero reduced rows
+    in pivot order, each with a positive pivot and its cofactors `cof`, which
+    map input row indices to ints with `row == sum(cof[i] * rows[i])`.  When
+    a row's pivot lands in column `stop`, that row alone is returned.
+    """
+    reduced: dict[int, tuple[SparseRow, SparseRow]] = {}  # pivot column -> (row, cofactors)
+    for index, source in enumerate(rows):
+        row, cof = dict(source), {index: 1}
+        # reduced rows hold zeros in each other's pivot columns, so one pass suffices
+        for c in [c for c in row if c in reduced]:
+            row, cof = _eliminate(row, cof, *reduced[c], c)
+        if not row:
+            continue
+        pivot = min(row)
+        if row[pivot] < 0:
+            row = {k: -v for k, v in row.items()}
+            cof = {k: -v for k, v in cof.items()}
+        if pivot == stop:
+            return [(row, cof)]
+        for c, (other, other_cof) in reduced.items():
+            if pivot in other:
+                reduced[c] = _eliminate(other, other_cof, row, cof, pivot)
+        reduced[pivot] = (row, cof)
+    return [reduced[c] for c in sorted(reduced)]
+
+
+def _eliminate(row: SparseRow, cof: SparseRow, by: SparseRow, by_cof: SparseRow, column: int):
+    """Clear `column` of `row` with the positive-pivot row `by`, then remove the content."""
+    g = math.gcd(by[column], row[column])
+    a, b = by[column] // g, row[column] // g
+    row, cof = _axpy(a, row, -b, by), _axpy(a, cof, -b, by_cof)
+    g = math.gcd(*row.values(), *cof.values())
+    if g > 1:
+        row = {k: v // g for k, v in row.items()}
+        cof = {k: v // g for k, v in cof.items()}
+    return row, cof
+
+
+def _axpy(a: int, x: SparseRow, b: int, y: SparseRow) -> SparseRow:
+    out = {k: a * v for k, v in x.items()}
+    for k, v in y.items():
+        w = out.get(k, 0) + b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
 
 
 def block_matrix(blocks: Sequence[Sequence[RatMatrix]]) -> RatMatrix:

@@ -36,10 +36,6 @@ class UniPoly:
     def constant(cls, value) -> "UniPoly":
         return cls.from_coeffs([value])
 
-    @classmethod
-    def s_power(cls, k: int, coeff=1) -> "UniPoly":
-        return cls.from_coeffs([0] * k + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

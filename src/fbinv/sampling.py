@@ -56,15 +56,6 @@ def random_ar_system(
             continue
 
 
-def random_observable_ar_system(rng: random.Random, m: int, p: int, n: int, lo: int = -5, hi: int = 5) -> ARSystem:
-    from .arsys import is_observable
-
-    while True:
-        ar = random_ar_system(rng, m, p, n, lo, hi)
-        if is_observable(ar):
-            return ar
-
-
 def random_state_space(
     rng: random.Random,
     n: int,

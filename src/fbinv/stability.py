@@ -205,19 +205,35 @@ def _chart_search(ambient, k, chart_system, accept, budget) -> Iterator[ChartRep
     """Decide the reduced-echelon charts of Grass(k, ambient) in lexicographic order.
 
     `chart_system(pivots)` returns the chart's generators and parameter slots.
-    A solvable chart carries the rational point found on it, kept only when
-    `accept` confirms it by a route independent of the chart system.
+    A solvable chart carries the rational point found on it, which `accept`
+    must confirm by a route independent of the chart system.  An unsolvable
+    chart's Nullstellensatz certificate, when the verdict has one, is checked
+    by summation.  A witness or certificate that fails its check raises
+    WitnessCheckFailed.
     """
     for pivots in combinations(range(ambient), k):
         generators, slots = chart_system(pivots)
         nonzero = [g for g in generators if not g.is_zero()]
         verdict = groebner(nonzero, budget)
+        if verdict.certificate is not None and not is_unit_certificate(nonzero, verdict.certificate):
+            raise WitnessCheckFailed(f"chart {pivots}: the certificate does not sum to 1")
         witness = None
         if verdict.status == IdealStatus.HAS_COMPLEX_SOLUTION:
             witness = _witness_from_chart(verdict.basis, nonzero, pivots, ambient, slots)
-            if witness is not None and not accept(witness):  # pragma: no cover - defensive
-                witness = None
+            if witness is not None and not accept(witness):
+                raise WitnessCheckFailed(f"chart {pivots}: the witness fails its independent check")
         yield ChartReport(pivots, verdict.status.value, witness)
+
+
+def is_unit_certificate(generators: Sequence[MultiPoly], cofactors: Sequence[Fraction]) -> bool:
+    """Does sum(cofactors[i] * generators[i]) equal 1?  Plain summation, no reduction."""
+    if not generators or len(cofactors) != len(generators):
+        return False
+    total = MultiPoly.zero(generators[0].variables)
+    for c, g in zip(cofactors, generators):
+        if c:
+            total = total + g.scale(c)
+    return total == MultiPoly.constant(generators[0].variables, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,31 @@ paths under test (adjugate identities, Kalman rank tests, brute-force spans).
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from fbinv.arsys import ARSystem, is_observable
+from fbinv.grassmann import GrassmannPoint
 from fbinv.linalg import RatMatrix, frac
 from fbinv.poly import HomPoly, UniPoly, uni_mat_det
 from fbinv.polymatrix import HomPolyMatrix, maximal_minors, poly_gcd_list
 from fbinv.realization import MFD, StateSpace, to_hom_ar
+from fbinv.sampling import random_ar_system
+
+
+def random_observable_ar_system(rng: random.Random, m: int, p: int, n: int, lo: int = -5, hi: int = 5) -> ARSystem:
+    while True:
+        ar = random_ar_system(rng, m, p, n, lo, hi)
+        if is_observable(ar):
+            return ar
+
+
+def grassmann_point_of(mat: RatMatrix) -> GrassmannPoint:
+    """The row space of `mat`, through its own rref rather than `from_rows`."""
+    reduced, _ = mat.rref()
+    return GrassmannPoint(mat.cols, reduced)
 
 
 def uni_mat_mul(a: Sequence[Sequence[UniPoly]], b: Sequence[Sequence[UniPoly]]) -> list[list[UniPoly]]:
@@ -63,7 +80,7 @@ def laplace_stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
 
 def char_matrix(ss: StateSpace) -> list[list[UniPoly]]:
     """sI - A as a grid of univariate polynomials."""
-    s = UniPoly.s_power(1)
+    s = UniPoly.from_coeffs([0, 1])
     return [
         [
             (s if i == j else UniPoly.zero()) - UniPoly.constant(ss.A.entries[i][j])

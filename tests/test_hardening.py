@@ -1,9 +1,13 @@
 """Cross-validation suites: each checks one engine against an independent,
 dumber route (random search, grid enumeration, or a second algorithm)."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
+
+import fbinv
 
 from fbinv.arsys import compute_Q, observable_part, validate
 from fbinv.linalg import RatMatrix
@@ -149,3 +153,14 @@ def test_miso_exhaustive_sweep_tiny_grid():
             StabilityStatus.SEMISTABLE_CERTIFIED,
         )
         assert semistable == independent
+
+
+def test_library_has_no_assert_statement():
+    """python -O strips assert statements, so no check in the library may rest on one."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(fbinv.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from fbinv import stability
 from fbinv.ideals import (
+    DEFAULT_BUDGET,
     GroebnerBudget,
     IdealStatus,
+    _buchberger,
+    _linear_step,
     groebner,
     rational_roots,
     solve_if_zero_dimensional,
 )
 from fbinv.linalg import RatMatrix
 from fbinv.multipoly import MultiPoly, grevlex_key, normal_form
+from fbinv.sampling import random_ar_system
 from oracles import trial_division_rational_roots
 
 
@@ -107,6 +112,94 @@ def test_linear_systems_agree_with_rref():
         aug = RatMatrix.from_rows([row + [rhs] for row, rhs in zip(A, b)])
         consistent = aug.rank() == RatMatrix.from_rows(A).rank() if rows else True
         assert verdict.solvable == consistent
+
+
+def random_poly_set(rng, variables, count):
+    gens = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 2) for _ in variables)
+            terms[e] = terms.get(e, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        gens.append(poly(variables, terms))
+    return gens
+
+
+def test_linear_step_matches_dense_rref():
+    """Sparse fraction-free rows equal the Fraction rref over grevlex-sorted monomials."""
+    rng = random.Random(31)
+    xy = ("x", "y")
+    unit = 0
+    for _ in range(150):
+        gens = random_poly_set(rng, xy, rng.randint(1, 6))
+        if all(g.is_zero() for g in gens):
+            continue
+        monomials = sorted({e for g in gens for e in g.terms}, key=grevlex_key, reverse=True)
+        dense, _ = RatMatrix.from_rows([[g.terms.get(e, 0) for e in monomials] for g in gens]).rref()
+        expected = [MultiPoly(xy, dict(zip(monomials, row))) for row in dense.entries]
+        rows, certificate = _linear_step(gens, xy)
+        if certificate is None:
+            assert [r.monic() for r in rows] == expected
+        else:
+            unit += 1
+            assert expected[-1] == MultiPoly.constant(xy, 1)
+            assert stability.is_unit_certificate(gens, certificate)
+    assert unit > 10
+
+
+def recorded_chart_systems(seed, p, m, n):
+    """The generator lists that both decisions hand to groebner on one seeded system."""
+    systems = []
+
+    def record(generators, budget=DEFAULT_BUDGET):
+        systems.append(list(generators))
+        return groebner(generators, budget)
+
+    ar = random_ar_system(random.Random(seed), m, p, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "groebner", record)
+        stability.is_nondegenerate(ar)
+        stability.stability_check(ar)
+    return systems
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 2, 4), (2, 3, 5), (3, 2, 6)])
+def test_groebner_agrees_with_plain_buchberger_on_chart_systems(p, m, n):
+    certified = 0
+    for seed in range(2):
+        for gens in recorded_chart_systems(seed, p, m, n):
+            verdict = groebner(gens)
+            basis, exceeded = _buchberger(gens, DEFAULT_BUDGET, grevlex_key)
+            assert not exceeded
+            assert verdict.basis == tuple(basis)
+            unit = len(basis) == 1 and basis[0].is_constant()
+            assert verdict.status == (IdealStatus.NO_COMPLEX_SOLUTION if unit else IdealStatus.HAS_COMPLEX_SOLUTION)
+            if verdict.certificate is not None:
+                certified += 1
+                assert unit and stability.is_unit_certificate(gens, verdict.certificate)
+    assert certified > 0
+
+
+def test_unit_charts_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    systems = recorded_chart_systems(0, 2, 2, 4)
+    checked = {True: 0, False: 0}
+    for gens in systems:
+        certified = groebner(gens).certificate is not None
+        if checked[certified] >= 3:
+            continue
+        checked[certified] += 1
+        symbols = sympy.symbols(gens[0].variables)
+        exprs = [
+            sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(symbols, exps)))
+                for exps, c in g.terms.items())
+            for g in gens
+        ]
+        unit = list(sympy.groebner(exprs, *symbols, order="grevlex").exprs) == [1]
+        assert unit == (groebner(gens).status == IdealStatus.NO_COMPLEX_SOLUTION)
+        if certified:
+            assert unit
+    assert checked[True] == 3
 
 
 def test_solve_simple_point():

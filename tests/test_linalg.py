@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fbinv.errors import ShapeMismatch, SingularMatrix
-from fbinv.linalg import RatMatrix, block_matrix, frac, rref
+from fbinv.linalg import RatMatrix, block_matrix, frac, integer_rref, rref
 
 
 def M(rows):
@@ -75,3 +76,34 @@ def test_matmul_and_stack():
 def test_block_matrix_without_blocks_raises():
     with pytest.raises(ShapeMismatch):
         block_matrix([])
+
+
+def test_integer_rref_matches_rref():
+    """Same row space basis as the Fraction rref, with cofactors that rebuild each row."""
+    rng = random.Random(23)
+    for _ in range(200):
+        cols = rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:  # a dependent row
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        reduced = integer_rref(sparse)
+        expected, pivots = M(rows).rref()
+        assert tuple(min(row) for row, _ in reduced) == pivots
+        for (row, cof), want in zip(reduced, expected.entries):
+            assert row[min(row)] > 0
+            assert math.gcd(*row.values(), *cof.values()) == 1
+            assert [Fraction(row.get(c, 0), row[min(row)]) for c in range(cols)] == list(want)
+            assert all(sum(k * sparse[i].get(c, 0) for i, k in cof.items()) == row.get(c, 0) for c in range(cols))
+
+
+def test_integer_rref_stops_at_the_stop_column():
+    rows = [{0: 2, 2: 4}, {0: 1, 1: 3}, {1: 6, 2: 2}, {0: 5}]
+    reduced = integer_rref(rows, stop=2)
+    assert len(reduced) == 1
+    row, cof = reduced[0]
+    assert set(row) == {2}
+    assert all(sum(k * rows[i].get(c, 0) for i, k in cof.items()) == row.get(c, 0) for c in range(3))
+    assert 3 not in cof  # the last row was never needed
+    assert [min(r) for r, _ in integer_rref(rows)] == [0, 1, 2]

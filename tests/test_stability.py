@@ -1,9 +1,15 @@
 import random
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
+from fbinv import stability
 from fbinv.arsys import act_T, validate
-from fbinv.ideals import GroebnerBudget
+from fbinv.errors import WitnessCheckFailed
+from fbinv.ideals import DEFAULT_BUDGET, GroebnerBudget, groebner
+from fbinv.multipoly import MultiPoly
 from fbinv.linalg import RatMatrix
 from fbinv.poly import HomPoly
 from fbinv.polymatrix import HomPolyMatrix
@@ -14,8 +20,10 @@ from fbinv.stability import (
     GradedBound,
     StabilityMode,
     StabilityStatus,
+    chart_parameter_matrix,
     euler_characteristic,
     is_nondegenerate,
+    is_unit_certificate,
     nondegenerate_implies_stable_suite,
     stability_check,
     stacked_determinant,
@@ -162,24 +170,74 @@ def test_reference_exhaustive_stable():
     assert verdict.status == StabilityStatus.STABLE_CERTIFIED
 
 
+def test_reference_exhaustive_decided_without_s_pairs():
+    """Every chart of the reference system has a constant in its linear span."""
+    verdict = stability_check(reference_system(), budget=GroebnerBudget(max_pairs=0))
+    assert verdict.status == StabilityStatus.STABLE_CERTIFIED
+    assert all(r.strict_ok for r in verdict.details)
+
+
+def test_changed_certificate_fails_the_check():
+    x = ("x", "y")
+    gens = [
+        MultiPoly(x, {(1, 0): 1, (0, 1): 2}),
+        MultiPoly(x, {(1, 0): 3, (0, 0): Fraction(1, 2)}),
+        MultiPoly(x, {(0, 1): 1, (0, 0): -1}),
+    ]
+    certificate = groebner(gens).certificate
+    assert is_unit_certificate(gens, certificate)
+    for i in range(len(gens)):
+        changed = list(certificate)
+        changed[i] += 1
+        assert not is_unit_certificate(gens, changed)
+    assert not is_unit_certificate(gens, certificate[:-1])
+
+
+def test_chart_search_raises_on_a_changed_certificate(monkeypatch):
+    def tampered(generators, budget=DEFAULT_BUDGET):
+        verdict = groebner(generators, budget)
+        if verdict.certificate is None:
+            return verdict
+        changed = (verdict.certificate[0] + 1,) + verdict.certificate[1:]
+        return dataclasses.replace(verdict, certificate=changed)
+
+    monkeypatch.setattr(stability, "groebner", tampered)
+    with pytest.raises(WitnessCheckFailed):
+        stability_check(reference_system())
+
+
+def test_chart_search_raises_on_a_rejected_witness():
+    # no generators: every chart is solvable, at the chart's origin
+    search = stability._chart_search(
+        2, 1, lambda pivots: ([], chart_parameter_matrix(pivots, 2)[2]), lambda witness: False, DEFAULT_BUDGET
+    )
+    with pytest.raises(WitnessCheckFailed):
+        next(search)
+
+
+def ladder_system():
+    return random_ar_system(random.Random(0), 2, 2, 3, row_degrees=(0, 3))
+
+
 @pytest.mark.parametrize(
     "max_pairs, status, rows",
     [
-        (0, StabilityStatus.NOT_CERTIFIED, {1: None, 2: None, 3: None, 4: None}),
-        (1, StabilityStatus.NOT_CERTIFIED, {1: None, 2: None, 3: None, 4: True}),
-        (3, StabilityStatus.NOT_CERTIFIED, {1: True, 2: None, 3: None, 4: True}),
-        (10, StabilityStatus.STABLE_CERTIFIED, {1: True, 2: True, 3: True, 4: True}),
+        (0, StabilityStatus.NOT_CERTIFIED, {1: (None, None), 2: (None, True), 3: (True, True)}),
+        (1, StabilityStatus.NOT_CERTIFIED, {1: (None, None), 2: (False, True), 3: (True, True)}),
+        (3, StabilityStatus.CRITERION_FAILS, {1: (False, False), 2: (False, True), 3: (True, True)}),
+        (10, StabilityStatus.CRITERION_FAILS, {1: (False, False), 2: (False, True), 3: (True, True)}),
     ],
 )
-def test_reference_exhaustive_budget_ladder(max_pairs, status, rows):
-    """A chart that runs out of S-pairs leaves its h undecided, never decided."""
-    verdict = stability_check(reference_system(), budget=GroebnerBudget(max_pairs=max_pairs))
+def test_exhaustive_budget_ladder(max_pairs, status, rows):
+    """A chart that runs out of S-pairs leaves its h undecided, never decided wrongly."""
+    verdict = stability_check(ladder_system(), budget=GroebnerBudget(max_pairs=max_pairs))
     assert verdict.status == status
-    assert {r.h: (r.strict_ok, r.weak_ok) for r in verdict.details} == {
-        h: (ok, ok) for h, ok in rows.items()
-    }
-    assert all((r.achieved is None) == (r.weak_ok is None) for r in verdict.details)
-    assert verdict.witness is None
+    assert {r.h: (r.strict_ok, r.weak_ok) for r in verdict.details} == rows
+    assert all((r.achieved is None) == (r.weak_ok is not True) for r in verdict.details)
+    full = stability_check(ladder_system())
+    for row, settled in zip(verdict.details, full.details):
+        assert row.strict_ok in (None, settled.strict_ok)
+        assert row.weak_ok in (None, settled.weak_ok)
 
 
 def test_stability_invariant_under_action():
