@@ -41,9 +41,25 @@ def matrix_to_json(mat: RatMatrix) -> list[list[str]]:
     return [[rational_to_str(x) for x in row] for row in mat.entries]
 
 
-def parse_matrix(data, what: str = "matrix") -> RatMatrix:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad {what} {value!r}: {exc}") from None
+
+
+def _nested_list(data, what: str) -> list[list]:
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{what} must be a nested list")
+    return data
+
+
+def parse_matrix(data, what: str = "matrix") -> RatMatrix:
+    _nested_list(data, what)
     if data and any(len(r) != len(data[0]) for r in data):
         raise ParseError(f"{what} rows have inconsistent lengths")
     return RatMatrix.from_rows([[parse_rational(x) for x in row] for row in data])
@@ -62,14 +78,16 @@ def parse_hompoly(data) -> HomPoly:
     if not isinstance(data, dict) or "degree" not in data or "terms" not in data:
         raise ParseError("polynomial needs 'degree' and 'terms'")
     degree = data["degree"]
-    if not isinstance(degree, int) or degree < 0:
+    if not _is_int(degree) or degree < 0:
         raise ParseError(f"bad degree {degree!r}")
+    if not isinstance(data["terms"], list):
+        raise ParseError("'terms' must be a list")
     triples = []
     for term in data["terms"]:
         if not (isinstance(term, list) and len(term) == 3):
             raise ParseError(f"bad term {term!r}")
         c, a, b = term
-        if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+        if not _is_int(a) or not _is_int(b) or a < 0 or b < 0:
             raise ParseError(f"bad exponents in {term!r}")
         if a + b != degree:
             raise ParseError(f"term s^{a} t^{b} does not have degree {degree}")
@@ -101,16 +119,19 @@ def parse_ar(data) -> ARSystem:
     for key in ("m", "p", "row_degrees", "P"):
         if key not in data:
             raise ParseError(f"ar system missing '{key}'")
-    rows = data["P"]
-    if not isinstance(rows, list) or not rows:
+    rows = _nested_list(data["P"], "'P'")
+    if not rows:
         raise ParseError("'P' must be a nonempty nested list")
     grid = [[parse_hompoly(e) for e in row] for row in rows]
-    try:
-        return validate(
-            HomPolyMatrix.from_rows(grid), data["row_degrees"], int(data["m"]), int(data["p"])
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from None
+    degrees = data["row_degrees"]
+    if not isinstance(degrees, list):
+        raise ParseError("'row_degrees' must be a list")
+    return validate(
+        HomPolyMatrix.from_rows(grid),
+        [_parse_int(d, "row degree") for d in degrees],
+        _parse_int(data["m"], "'m'"),
+        _parse_int(data["p"], "'p'"),
+    )
 
 
 def state_space_to_json(ss: StateSpace) -> dict:
@@ -153,8 +174,8 @@ def parse_mfd(data) -> MFD:
     for key in ("D", "N"):
         if key not in data:
             raise ParseError(f"mfd missing '{key}'")
-    Dmat = tuple(tuple(parse_unipoly(f) for f in row) for row in data["D"])
-    Nmat = tuple(tuple(parse_unipoly(f) for f in row) for row in data["N"])
+    Dmat = tuple(tuple(parse_unipoly(f) for f in row) for row in _nested_list(data["D"], "'D'"))
+    Nmat = tuple(tuple(parse_unipoly(f) for f in row) for row in _nested_list(data["N"], "'N'"))
     if len(Dmat) != len(Nmat) or not Dmat:
         raise ParseError("D and N must have the same positive number of rows")
     if any(len(r) != len(Dmat) for r in Dmat):
@@ -165,12 +186,17 @@ def parse_mfd(data) -> MFD:
             max(max((f.degree for f in drow + nrow), default=0), 0)
             for drow, nrow in zip(Dmat, Nmat)
         ]
+    elif not isinstance(degrees, list):
+        raise ParseError("'row_degrees' must be a list")
+    reduced_from = data.get("reduced_from")
+    if reduced_from is not None and not _is_int(reduced_from):
+        raise ParseError(f"bad 'reduced_from' {reduced_from!r}")
     return MFD(
         Dmat,
         Nmat,
-        tuple(int(d) for d in degrees),
+        tuple(_parse_int(d, "row degree") for d in degrees),
         improper=bool(data.get("improper", False)),
-        reduced_from=data.get("reduced_from"),
+        reduced_from=reduced_from,
     )
 
 
@@ -257,7 +283,7 @@ def parse_system(data):
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     kind = data.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise ParseError(f"unknown or missing kind {kind!r}")
     return _PARSERS[kind](data)
 

@@ -13,12 +13,13 @@ criterion but never certify it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arsys import ARSystem, compute_Q, observable_part
 from .errors import WitnessCheckFailed
@@ -29,7 +30,7 @@ from .ideals import (
     groebner,
     solve_if_zero_dimensional,
 )
-from .linalg import RatMatrix
+from .linalg import RatMatrix, integer_rref
 from .multipoly import MultiPoly, mp_det
 from .poly import HomPoly, dehomogenize
 from .polymatrix import HomPolyMatrix, determinant, generic_rank, maximal_minors
@@ -201,6 +202,51 @@ def _witness_from_chart(verdict_basis, generators, pivots, ambient, slots) -> Ra
     return None
 
 
+@dataclass(frozen=True)
+class MinorCombination:
+    """The constant part of a chart system built by Cauchy-Binet.
+
+    Every generator on a chart is sum_J row[J] * det grid[C, J] for one row
+    of the row-reduced matrix and one `size`-subset C of the chart grid's
+    rows.  `subsets` are the column subsets J, the matrix's columns; each
+    row lists its nonzero entries as (index into `subsets`, integer).
+    """
+
+    size: int
+    subsets: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def reduce(cls, size: int, rows: Iterable[Mapping[tuple[int, ...], Fraction]]) -> "MinorCombination":
+        """Row-reduce sparse rows over column subsets; the span, and so each chart's ideal, is kept."""
+        rows = list(rows)
+        subsets = tuple(sorted({J for row in rows for J in row}))
+        column = {J: k for k, J in enumerate(subsets)}
+        integer_rows = []
+        for row in rows:
+            scale = math.lcm(*(c.denominator for c in row.values()))
+            integer_rows.append({column[J]: int(c * scale) for J, c in row.items()})
+        reduced = integer_rref(integer_rows)
+        return cls(size, subsets, tuple(tuple(sorted(row.items())) for row, _ in reduced))
+
+
+def _chart_minor_system(combination: MinorCombination, pivots, ambient):
+    """One generator per reduced row and `size`-subset C of the chart's rows."""
+    grid, variables, slots = chart_parameter_matrix(pivots, ambient)
+    generators = []
+    for C in combinations(range(len(pivots)), combination.size):
+        minors = [
+            mp_det([[grid[i][j] for j in J] for i in C], variables).terms for J in combination.subsets
+        ]
+        for row in combination.rows:
+            terms: dict = {}
+            for k, c in row:
+                for e, v in minors[k].items():
+                    terms[e] = terms.get(e, 0) + c * v
+            generators.append(MultiPoly(variables, terms))
+    return generators, slots
+
+
 def _chart_search(ambient, k, chart_system, accept, budget) -> Iterator[ChartReport]:
     """Decide the reduced-echelon charts of Grass(k, ambient) in lexicographic order.
 
@@ -249,13 +295,12 @@ def is_nondegenerate(ar: ARSystem, budget: GroebnerBudget = DEFAULT_BUDGET) -> D
     """
     if ar.p == 1:
         return _miso_nondegenerate(ar)
-    minors = maximal_minors(ar.P, ar.p)
-    subsets = list(combinations(range(ar.external_dim), ar.p))
+    combination = _degeneracy_combination(ar)
     reports = tuple(
         _chart_search(
             ar.external_dim,
             ar.m,
-            lambda pivots: _degeneracy_chart_system(ar, pivots, minors, subsets),
+            lambda pivots: _chart_minor_system(combination, pivots, ar.external_dim),
             lambda K: _kills_stacked_determinant(ar, K),
             budget,
         )
@@ -291,26 +336,22 @@ def _miso_nondegenerate(ar: ARSystem) -> DegeneracyVerdict:
     return DegeneracyVerdict(DegeneracyStatus.DEGENERATE, witness, chart, ())
 
 
-def _degeneracy_chart_system(ar: ARSystem, pivots, minors, subsets):
-    """Coefficients of det [P; K] as polynomials in the chart parameters of K."""
-    grid, variables, slots = chart_parameter_matrix(pivots, ar.external_dim)
+def _degeneracy_combination(ar: ARSystem) -> MinorCombination:
+    """det [P; K] = sum_J M[a, J] det K[:, J], a indexing the coefficient of s^(n-a) t^a.
+
+    Laplace expansion along the P-block pairs each maximal minor p_I of P with
+    the minor of K on the complementary columns J, signed (-1)^(sum I - p(p-1)/2).
+    """
     width = ar.external_dim
-    n = ar.n
     base = ar.p * (ar.p - 1) // 2
-    gens = [MultiPoly.zero(variables) for _ in range(n + 1)]
-    for idx, cols in enumerate(subsets):
-        pI = minors[idx]
-        if pI.is_zero():
-            continue
-        comp = [c for c in range(width) if c not in cols]
-        kminor = mp_det([[grid[i][j] for j in comp] for i in range(ar.m)], variables)
-        if kminor.is_zero():
-            continue
+    rows: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for cols, pI in zip(combinations(range(width), ar.p), maximal_minors(ar.P, ar.p)):
+        J = tuple(c for c in range(width) if c not in cols)
         sign = -1 if (sum(cols) - base) % 2 else 1
-        for a, coeff in enumerate(pI.coeffs):
-            if coeff != 0:
-                gens[a] = gens[a] + kminor.scale(sign * coeff)
-    return gens, slots
+        for a, c in enumerate(pI.coeffs):
+            if c:
+                rows.setdefault(a, {})[J] = sign * c
+    return MinorCombination.reduce(ar.m, rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +411,20 @@ def _generic_subspace_check(Q, bounds, width, seed, flag_samples) -> StabilityVe
 def _exhaustive_check(Q, bounds, width, budget) -> StabilityVerdict:
     details = []
     witness = None
+    combinations_by_r: dict[int, MinorCombination] = {}  # this call's, shared across h
     for bound in bounds:
-        strict_low, strict_wit = _exists_low_rank_subspace(Q, width, bound.h, bound.strict_bound - 1, budget)
+        strict_low, strict_wit = _exists_low_rank_subspace(
+            Q, width, bound.h, bound.strict_bound - 1, combinations_by_r, budget
+        )
         if bound.weak_bound == bound.strict_bound:
             weak_low, weak_wit = strict_low, strict_wit
         elif strict_low is False:
             # nothing even below the strict bound, so nothing below the weak one
             weak_low, weak_wit = False, None
         else:
-            weak_low, weak_wit = _exists_low_rank_subspace(Q, width, bound.h, bound.weak_bound - 1, budget)
+            weak_low, weak_wit = _exists_low_rank_subspace(
+                Q, width, bound.h, bound.weak_bound - 1, combinations_by_r, budget
+            )
         strict_ok = None if strict_low is None else not strict_low
         weak_ok = None if weak_low is None else not weak_low
         achieved = bound.strict_bound if strict_ok else (bound.weak_bound if weak_ok else None)
@@ -399,21 +445,31 @@ def _exhaustive_check(Q, bounds, width, budget) -> StabilityVerdict:
 
 
 def _exists_low_rank_subspace(
-    Q: HomPolyMatrix, width: int, h: int, r: int, budget: GroebnerBudget
+    Q: HomPolyMatrix,
+    width: int,
+    h: int,
+    r: int,
+    combinations_by_r: dict[int, MinorCombination],
+    budget: GroebnerBudget,
 ) -> tuple[bool | None, RatMatrix | None]:
     """Is there an h-dimensional H with generic rank of Q H^T at most r?
 
     Returns (exists, witness_or_None); exists is None when undecided within budget.
+    The (r+1)-minor combination of Q is built on first use and kept in
+    `combinations_by_r` for the other dimensions h of the same check.
     """
     if r < 0:
         return False, None
     if r >= min(Q.rows, h):
         return True, None  # pragma: no cover - bounds keep r below this
+    if r not in combinations_by_r:
+        combinations_by_r[r] = _rank_combination(Q, r)
+    combination = combinations_by_r[r]
     exceeded = False
     for report in _chart_search(
         width,
         h,
-        lambda pivots: _rank_chart_system(Q, pivots, width, h, r),
+        lambda pivots: _chart_minor_system(combination, pivots, width),
         lambda H: generic_rank(Q.mul_rat(H.transpose())) <= r,
         budget,
     ):
@@ -423,52 +479,21 @@ def _exists_low_rank_subspace(
     return (None if exceeded else False), None
 
 
-def _rank_chart_system(Q: HomPolyMatrix, pivots, width, h, r):
-    """All (r+1)-minors of Q(s,t) H^T == 0, as polynomials in chart parameters."""
-    grid, variables, slots = chart_parameter_matrix(pivots, width)
-    full_vars = variables + ("s", "t")
-    nparams = len(variables)
+def _rank_combination(Q: HomPolyMatrix, r: int) -> MinorCombination:
+    """minor_{R,C}(Q H^T) = sum_J det Q[R,J](s,t) det H[C,J], by Cauchy-Binet.
 
-    def lift_param(poly: MultiPoly) -> MultiPoly:
-        return MultiPoly(full_vars, {tuple(list(e) + [0, 0]): c for e, c in poly.terms.items()})
-
-    def lift_q(entry: HomPoly) -> MultiPoly:
-        return MultiPoly(
-            full_vars,
-            {
-                tuple([0] * nparams + [entry.degree - j, j]): c
-                for j, c in enumerate(entry.coeffs)
-                if c != 0
-            },
-        )
-
-    product = []
-    for row_q in Q.entries:
-        prow = []
-        for i in range(h):
-            acc = MultiPoly.zero(full_vars)
-            for k in range(width):
-                if row_q[k].is_zero() or grid[i][k].is_zero():
-                    continue
-                acc = acc + lift_q(row_q[k]) * lift_param(grid[i][k])
-            prow.append(acc)
-        product.append(prow)
-    generators: list[MultiPoly] = []
+    Each row of the matrix is one (s,t)-coefficient of the minors on one
+    (r+1)-row subset R of Q; the columns are the (r+1)-column subsets J.
+    """
     size = r + 1
-    for rows_idx in combinations(range(Q.rows), size):
-        for cols_idx in combinations(range(h), size):
-            minor = mp_det([[product[i][j] for j in cols_idx] for i in rows_idx], full_vars)
-            generators.extend(_split_by_st(minor, variables, nparams))
-    return generators, slots
-
-
-def _split_by_st(poly: MultiPoly, param_vars, nparams) -> list[MultiPoly]:
-    """Group a parameters+(s,t) polynomial by its (s,t) monomial."""
-    buckets: dict[tuple[int, int], dict] = {}
-    for exps, c in poly.terms.items():
-        key = (exps[nparams], exps[nparams + 1])
-        buckets.setdefault(key, {})[tuple(exps[:nparams])] = c
-    return [MultiPoly(tuple(param_vars), terms) for terms in buckets.values()]
+    rows: dict[tuple, dict[tuple[int, ...], Fraction]] = {}
+    for J in combinations(range(Q.cols), size):
+        for R in combinations(range(Q.rows), size):
+            minor = determinant(Q.submatrix(R, J))
+            for j, c in enumerate(minor.coeffs):
+                if c:
+                    rows.setdefault((R, minor.degree - j, j), {})[J] = c
+    return MinorCombination.reduce(size, rows.values())
 
 
 # ---------------------------------------------------------------------------

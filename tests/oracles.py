@@ -13,10 +13,12 @@ from typing import Sequence
 from fbinv.arsys import ARSystem, is_observable
 from fbinv.grassmann import GrassmannPoint
 from fbinv.linalg import RatMatrix, frac
+from fbinv.multipoly import MultiPoly, mp_det
 from fbinv.poly import HomPoly, UniPoly, uni_mat_det
 from fbinv.polymatrix import HomPolyMatrix, maximal_minors, poly_gcd_list
 from fbinv.realization import MFD, StateSpace, to_hom_ar
 from fbinv.sampling import random_ar_system
+from fbinv.stability import chart_parameter_matrix
 
 
 def random_observable_ar_system(rng: random.Random, m: int, p: int, n: int, lo: int = -5, hi: int = 5) -> ARSystem:
@@ -76,6 +78,60 @@ def laplace_stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
     if acc is None:
         return HomPoly.zero(sum(P.row_degree_label(i) for i in range(p)))
     return acc
+
+
+def direct_degeneracy_chart_system(ar: ARSystem, pivots) -> list[MultiPoly]:
+    """Coefficients of det [P; K] in the chart parameters of K, built directly.
+
+    Sums each maximal minor of P times the complementary minor of the chart
+    grid, coefficient by coefficient; the library builds the same span from a
+    row-reduced constant matrix instead.
+    """
+    grid, variables, _ = chart_parameter_matrix(pivots, ar.external_dim)
+    width = ar.external_dim
+    base = ar.p * (ar.p - 1) // 2
+    gens = [MultiPoly.zero(variables) for _ in range(ar.n + 1)]
+    for cols, pI in zip(combinations(range(width), ar.p), maximal_minors(ar.P, ar.p)):
+        if pI.is_zero():
+            continue
+        comp = [c for c in range(width) if c not in cols]
+        kminor = mp_det([[grid[i][j] for j in comp] for i in range(ar.m)], variables)
+        sign = -1 if (sum(cols) - base) % 2 else 1
+        for a, coeff in enumerate(pI.coeffs):
+            if coeff != 0:
+                gens[a] = gens[a] + kminor.scale(sign * coeff)
+    return gens
+
+
+def direct_rank_chart_system(Q: HomPolyMatrix, pivots, width: int, h: int, r: int) -> list[MultiPoly]:
+    """All (r+1)-minors of Q(s,t) H^T on one chart, split by (s,t)-monomial.
+
+    Forms the product over the chart parameters and s, t, takes every minor
+    with `mp_det`, and groups its terms by their (s,t) part.
+    """
+    grid, variables, _ = chart_parameter_matrix(pivots, width)
+    full = variables + ("s", "t")
+    nparams = len(variables)
+    product = []
+    for row_q in Q.entries:
+        prow = []
+        for i in range(h):
+            acc = MultiPoly.zero(full)
+            for k in range(width):
+                q = MultiPoly(full, {(0,) * nparams + (row_q[k].degree - j, j): c for j, c in enumerate(row_q[k].coeffs)})
+                x = MultiPoly(full, {e + (0, 0): c for e, c in grid[i][k].terms.items()})
+                acc = acc + q * x
+            prow.append(acc)
+        product.append(prow)
+    generators = []
+    for rows in combinations(range(Q.rows), r + 1):
+        for cols in combinations(range(h), r + 1):
+            minor = mp_det([[product[i][j] for j in cols] for i in rows], full)
+            buckets: dict[tuple[int, int], dict] = {}
+            for exps, c in minor.terms.items():
+                buckets.setdefault(exps[nparams:], {})[exps[:nparams]] = c
+            generators.extend(MultiPoly(variables, terms) for terms in buckets.values())
+    return generators
 
 
 def char_matrix(ss: StateSpace) -> list[list[UniPoly]]:

@@ -228,3 +228,26 @@ def test_text_format(capsys, reference_file):
     out = capsys.readouterr().out
     assert code == 0
     assert "status: Degenerate" in out
+
+
+_REFERENCE_AR = ar_to_json(reference_system())
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("nondegenerate", {**_REFERENCE_AR, "P": [5]}),
+        (
+            "nondegenerate",
+            {**_REFERENCE_AR, "P": [[{"degree": 1, "terms": 7}] + row[1:] for row in _REFERENCE_AR["P"]]},
+        ),
+        ("factorize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "row_degrees": ["x"]}),
+    ],
+    ids=["ar-row-not-a-list", "terms-not-a-list", "mfd-degree-not-an-int"],
+)
+def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, command, str(path))
+    assert code == 2
+    assert report["error"] == "ParseError"

@@ -1,9 +1,10 @@
+import copy
 import json
 import random
 
 import pytest
 
-from fbinv.errors import ParseError
+from fbinv.errors import FbinvError, ParseError
 from fbinv.linalg import RatMatrix
 from fbinv.pencil import from_state_space
 from fbinv.realization import left_coprime_mfd
@@ -101,3 +102,75 @@ def test_grassmann_pluecker_size_cap():
     assert "pluecker" not in out and "pluecker_omitted" in out
     small = grassmann_to_json(GrassmannPoint.from_rows([[1, 0], [0, 1]], 2))
     assert small["pluecker"] == ["1"]
+
+
+def _valid_documents() -> list[dict]:
+    rng = random.Random(6)
+    ss = random_state_space(rng, 2, 1, 2, observable=True)
+    return [
+        ar_to_json(reference_system()),
+        state_space_to_json(ss),
+        mfd_to_json(left_coprime_mfd(ss)),
+        pencil_to_json(from_state_space(ss)),
+        transform_to_json(RatMatrix.from_rows([[1, 2], [0, 1]])),
+        {"kind": "transform", "T1": [["1"]], "F": [["2"]], "G": [["0"]], "T2": [["1"]]},
+    ]
+
+
+def test_parse_system_fuzz_raises_only_fbinv_errors():
+    """Random JSON trees and valid documents with one field changed or removed.
+
+    Integers, floats and strings stay small: a declared degree is allocated
+    densely, so a huge one is a memory problem rather than a parse error.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 6),
+        st.floats(-8, 8),
+        st.text("0123456789/-+. ex", max_size=5),
+        st.sampled_from(["ar", "state_space", "mfd", "pencil", "transform"]),
+    )
+    keys = st.sampled_from(
+        ["kind", "m", "p", "row_degrees", "P", "degree", "terms", "A", "B", "C", "D", "N", "K", "L", "M", "T", "T1", "F", "G", "T2"]
+    )
+    trees = st.recursive(
+        scalars,
+        lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(keys, children, max_size=5)),
+        max_leaves=20,
+    )
+    documents = _valid_documents()
+
+    def parses_or_fails_cleanly(doc):
+        try:
+            parse_system(doc)
+        except FbinvError:
+            pass
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(trees)
+    def random_trees(doc):
+        parses_or_fails_cleanly(doc)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(documents), st.data())
+    def mutated_documents(doc, data):
+        doc = copy.deepcopy(doc)
+        parent, key, node = None, None, doc
+        while isinstance(node, (list, dict)) and node and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            doc = data.draw(trees)
+        elif isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(trees)
+        parses_or_fails_cleanly(doc)
+
+    for doc in documents:
+        parse_system(doc)
+    random_trees()
+    mutated_documents()
