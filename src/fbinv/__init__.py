@@ -9,9 +9,7 @@ systems.
 from .arsys import (
     ARSystem,
     SyzygyBasis,
-    UnimodularWitness,
     act_T,
-    check_unimodular_witness,
     compute_Q,
     is_observable,
     observable_part,
@@ -32,7 +30,7 @@ from .pencil import (
     to_ar,
     to_state_space,
 )
-from .poly import HomPoly, UniPoly, dehomogenize, hom_eval, homogenize
+from .poly import HomPoly, UniPoly, dehomogenize, homogenize
 from .polymatrix import (
     HomPolyMatrix,
     determinant,
@@ -59,9 +57,7 @@ from .stability import (
     StabilityMode,
     StabilityStatus,
     StabilityVerdict,
-    euler_characteristic,
     is_nondegenerate,
-    nondegenerate_implies_stable_suite,
     stability_check,
 )
 

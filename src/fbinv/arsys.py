@@ -54,13 +54,6 @@ class SyzygyBasis:
     row_degrees: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UnimodularWitness:
-    """A square homogeneous U with det a nonzero monomial in t, linking two systems."""
-
-    U: HomPolyMatrix
-
-
 def validate(P: HomPolyMatrix, row_degrees: Sequence[int], m: int, p: int) -> ARSystem:
     """Check shape, per-row homogeneity degrees and generic full row rank."""
     if m < 1 or p < 1:
@@ -131,6 +124,18 @@ def _vectorize(vec: Sequence[HomPoly], comp_degrees: Sequence[int], offsets, tot
     return flat
 
 
+def _multiples(rows, row_degrees, degree: int, comp_degrees: Sequence[int]) -> list[list[Fraction]]:
+    """Coefficient vectors of s^a t^b r for each row r of degree e and a + b = degree - e."""
+    offsets, total = _component_offsets(comp_degrees)
+    out = []
+    for row, e in zip(rows, row_degrees):
+        gap = degree - e
+        for b in range(gap + 1):
+            moved = tuple(poly.shift(gap - b, b) for poly in row)
+            out.append(_vectorize(moved, comp_degrees, offsets, total))
+    return out
+
+
 def _assemble(flat: Sequence[Fraction], comp_degrees: Sequence[int], offsets) -> tuple[HomPoly, ...]:
     out = []
     for j, d in enumerate(comp_degrees):
@@ -157,7 +162,8 @@ def minimal_kernel_generators(
     by exact linear algebra on coefficients, degree by degree, discarding
     anything already generated by monomial multiples of lower-degree
     generators.  The result is canonical: within each degree the new
-    generators are the rref basis of a complement of the shifted span.
+    generators are the rows of the kernel's rref whose pivots are not pivots
+    of the shifted span.
     """
     shifts = tuple(col_shifts) if col_shifts is not None else tuple(0 for _ in range(M.cols))
     if expected is None:
@@ -191,28 +197,15 @@ def minimal_kernel_generators(
         kernel = RatMatrix.from_rows(equations, total).right_nullspace()
         if kernel.rows == 0:
             continue
-        shifted = []
-        for e, gvec in gens:
-            gap = d - e
-            if gap < 0:
-                continue
-            for beta in range(gap + 1):
-                moved = tuple(poly.shift(gap - beta, beta) for poly in gvec)
-                shifted.append(_vectorize(moved, comp_degrees, offsets, total))
-        span, pivots = RatMatrix.from_rows(shifted, total).rref()
-        reductions = []
-        for cand in kernel.entries:
-            red = list(cand)
-            for r, pc in enumerate(pivots):
-                factor = red[pc]
-                if factor != 0:
-                    srow = span.entries[r]
-                    red = [a - factor * b for a, b in zip(red, srow)]
-            if any(x != 0 for x in red):
-                reductions.append(red)
-        fresh, _ = RatMatrix.from_rows(reductions, total).rref()
-        for row in fresh.entries:
-            gens.append((d, _assemble(row, comp_degrees, offsets)))
+        # the span of lower generators lies in the kernel, so its pivots are
+        # kernel pivots; each other kernel rref row is a new generator
+        reduced, pivots = kernel.rref()
+        shifted = _multiples([vec for _, vec in gens], [e for e, _ in gens], d, comp_degrees)
+        _, span_pivots = RatMatrix.from_rows(shifted, total).rref()
+        old = set(span_pivots)
+        for row, pc in zip(reduced.entries, pivots):
+            if pc not in old:
+                gens.append((d, _assemble(row, comp_degrees, offsets)))
         if len(gens) > expected:  # pragma: no cover - kernel modules are free
             raise SyzygyBudgetExceeded("more generators than the kernel rank allows")
         if len(gens) == expected:
@@ -310,20 +303,12 @@ def row_module_contains(
     vec_degree: int,
 ) -> bool:
     """Is vec (homogeneous of vec_degree) in the module generated by the rows?"""
-    width = len(vec)
-    comp_degrees = [vec_degree] * width
+    comp_degrees = [vec_degree] * len(vec)
     offsets, total = _component_offsets(comp_degrees)
-    shifted = []
-    for row, e in zip(rows, row_degrees):
-        gap = vec_degree - e
-        if gap < 0:
-            continue
-        for beta in range(gap + 1):
-            moved = tuple(poly.shift(gap - beta, beta) for poly in row)
-            shifted.append(_vectorize(moved, comp_degrees, offsets, total))
+    shifted = _multiples(rows, row_degrees, vec_degree, comp_degrees)
     target = _vectorize(vec, comp_degrees, offsets, total)
     span = RatMatrix.from_rows(shifted, total)
-    with_target = RatMatrix.from_rows(list(shifted) + [target], total)
+    with_target = RatMatrix.from_rows(shifted + [target], total)
     return span.rank() == with_target.rank()
 
 
@@ -356,54 +341,5 @@ def rho_embedding(ar: ARSystem, ell: int) -> GrassmannPoint:
     """
     if ell < ar.n:
         raise EllTooSmall(f"need ell >= McMillan degree ({ar.n}), got {ell}")
-    width = ar.external_dim * (ell + 1)
-    rows = []
-    for i, nu in enumerate(ar.row_degrees):
-        for beta in range(ell - nu + 1):
-            flat = [Fraction(0)] * width
-            for k, entry in enumerate(ar.P.entries[i]):
-                moved = entry.shift(ell - nu - beta, beta)
-                base = k * (ell + 1)
-                for j, c in enumerate(moved.coeffs):
-                    if c != 0:
-                        flat[base + j] = c
-            rows.append(flat)
-    return GrassmannPoint.from_rows(rows, width)
-
-
-def check_unimodular_witness(src: ARSystem, dst: ARSystem, witness: UnimodularWitness) -> bool:
-    """Verify that U has the right degree shape, unimodular determinant, and U P = P~."""
-    U = witness.U
-    p = src.p
-    if (src.m, src.p) != (dst.m, dst.p) or src.row_degrees != dst.row_degrees:
-        return False
-    if U.rows != p or U.cols != p:
-        return False
-    nu = src.row_degrees
-    for i in range(p):
-        for j in range(p):
-            entry = U.entries[i][j]
-            if entry.is_zero():
-                continue
-            if nu[i] - nu[j] < 0 or entry.degree != nu[i] - nu[j]:
-                return False
-    from .polymatrix import determinant
-
-    det = determinant(U)
-    if det.is_zero():
-        return False
-    nonzero = [j for j, c in enumerate(det.coeffs) if c != 0]
-    if nonzero != [det.degree]:  # a monomial in t only
-        return False
-    for i in range(p):
-        transformed = mul_row_vector(U.entries[i], src.P)
-        for got, want in zip(transformed, dst.P.entries[i]):
-            if not _same_poly(got, want):
-                return False
-    return True
-
-
-def _same_poly(a: HomPoly, b: HomPoly) -> bool:
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    return a.degree == b.degree and (a - b).is_zero()
+    rows = _multiples(ar.P.entries, ar.row_degrees, ell, [ell] * ar.external_dim)
+    return GrassmannPoint.from_rows(rows, ar.external_dim * (ell + 1))

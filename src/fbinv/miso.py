@@ -7,21 +7,28 @@ Grass(m+1, n+1), is a complete invariant of the feedback orbit.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .arsys import ARSystem
 from .errors import DegenerateSystem, DimensionMismatch
 from .grassmann import GrassmannPoint
 from .poly import dehomogenize
 
 
-def miso_invariant(ar: ARSystem) -> GrassmannPoint:
-    """Canonical point of Grass(m+1, n+1) spanned by the entry coefficient vectors."""
-    if ar.p != 1:
-        raise DimensionMismatch("the concrete quotient is defined for single-output systems")
+def coefficient_matrix(ar: ARSystem) -> list[list[Fraction]]:
+    """One row per entry of a single-output system: its coefficients of s^0..s^n at t = 1."""
     rows = []
     for entry in ar.P.entries[0]:
         u = dehomogenize(entry)
         rows.append([u.coeff(a) for a in range(ar.n + 1)])
-    point = GrassmannPoint.from_rows(rows, ar.n + 1)
+    return rows
+
+
+def miso_invariant(ar: ARSystem) -> GrassmannPoint:
+    """Canonical point of Grass(m+1, n+1) spanned by the entry coefficient vectors."""
+    if ar.p != 1:
+        raise DimensionMismatch("the concrete quotient is defined for single-output systems")
+    point = GrassmannPoint.from_rows(coefficient_matrix(ar), ar.n + 1)
     if point.subspace_dim != ar.m + 1:
         raise DegenerateSystem(
             f"coefficient span has dimension {point.subspace_dim}, expected {ar.m + 1}"

@@ -283,10 +283,6 @@ def dehomogenize(h: HomPoly) -> UniPoly:
     return UniPoly.from_coeffs([h.coeffs[h.degree - a] for a in range(h.degree + 1)])
 
 
-def hom_eval(h: HomPoly, s0, t0) -> Fraction:
-    return h.eval(s0, t0)
-
-
 def uni_mat_det(grid: Sequence[Sequence[UniPoly]]) -> UniPoly:
     """Determinant of a UniPoly grid by column-subset dynamic programming."""
     det = subset_det(grid, UniPoly.constant(1))

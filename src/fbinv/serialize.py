@@ -9,6 +9,7 @@ fixed separators) so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -27,12 +28,15 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def parse_rational(value) -> Fraction:
+    """An integer, or a string "p/q" or "p" of ASCII digits with an optional sign on p."""
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
+    if isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value, re.ASCII):
+        raise ParseError(f"bad rational {value!r}: expected an integer or p/q")
     if isinstance(value, (int, str)):
         try:
             return frac(value)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {value!r}: {exc}") from None
     raise ParseError(f"rationals must be integers or strings, got {type(value).__name__}")
 

@@ -2,9 +2,10 @@
 
 A system P is degenerate when some constant full-rank m x (m+p) matrix K
 makes det [P; K] vanish identically.  Stability is certified through the
-cokernel presentation Q of the observable part: the criterion asks that for a
-generic point of the projective line every h-dimensional subspace H maps to
-something of dimension > (m/(m+p)) h (>= for semistability).  Both questions
+kernel matrix Q of P, which is the observable part's, as both have the same
+row space over k(s,t): the criterion asks that for a generic point of the
+projective line every h-dimensional subspace H maps to something of
+dimension > (m/(m+p)) h (>= for semistability).  Both questions
 reduce to solvability of polynomial systems over the complex numbers, decided
 exactly by Groebner bases over chart parametrizations; `GenericSubspace` mode
 instead reproduces the cheap random-flag rank profile, which can refute the
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .arsys import ARSystem, compute_Q, observable_part
+from .arsys import ARSystem, compute_Q
 from .errors import WitnessCheckFailed
 from .ideals import (
     DEFAULT_BUDGET,
@@ -31,17 +32,11 @@ from .ideals import (
     solve_if_zero_dimensional,
 )
 from .linalg import RatMatrix, integer_rref
+from .miso import coefficient_matrix
 from .multipoly import MultiPoly, mp_det
-from .poly import HomPoly, dehomogenize
+from .poly import HomPoly
 from .polymatrix import HomPolyMatrix, determinant, generic_rank, maximal_minors
 from .sampling import random_invertible
-
-
-def euler_characteristic(rank: int, degree: int, ell: int) -> int:
-    """chi of a twisted sheaf on the projective line: rank (ell+1) + degree."""
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
-    return rank * (ell + 1) + degree
 
 
 @dataclass(frozen=True)
@@ -320,11 +315,7 @@ def _kills_stacked_determinant(ar: ARSystem, K: RatMatrix) -> bool:
 
 
 def _miso_nondegenerate(ar: ARSystem) -> DegeneracyVerdict:
-    rows = []
-    for e in ar.P.entries[0]:
-        u = dehomogenize(e)
-        rows.append([u.coeff(a) for a in range(ar.n + 1)])
-    coeffs = RatMatrix.from_rows(rows, ar.n + 1)
+    coeffs = RatMatrix.from_rows(coefficient_matrix(ar), ar.n + 1)
     if coeffs.rank() == ar.m + 1:
         return DegeneracyVerdict(DegeneracyStatus.NONDEGENERATE, None, None, ())
     # a dependency c with sum_j c_j f_j = 0 turns into a witness: any K whose
@@ -367,14 +358,15 @@ def stability_check(
 ) -> StabilityVerdict:
     """Certify the geometric criterion on the observable part's kernel matrix Q.
 
+    That Q is compute_Q(ar), one kernel computation: the right kernel depends
+    only on the row space of P over k(s,t), which the observable part shares.
     Exhaustive mode decides, for every h and both bounds, whether some
     subspace H has generic rank of Q H^T below the bound, by chart systems
     over Grassmannians; it alone can certify stability.  GenericSubspace mode
     reports the rank profile of random flags: a violated bound refutes the
     criterion, but passing ranks are reported NotCertified.
     """
-    syz = compute_Q(observable_part(ar))
-    Q = syz.Q
+    Q = compute_Q(ar).Q
     m, p = ar.m, ar.p
     width = m + p
     bounds = [GradedBound.for_dimension(h, m, p) for h in range(1, width)]
@@ -494,48 +486,3 @@ def _rank_combination(Q: HomPolyMatrix, r: int) -> MinorCombination:
                 if c:
                     rows.setdefault((R, minor.degree - j, j), {})[J] = c
     return MinorCombination.reduce(size, rows.values())
-
-
-# ---------------------------------------------------------------------------
-# Property suite: nondegenerate systems are certified stable
-
-
-def nondegenerate_implies_stable_suite(
-    sizes: Sequence[tuple[int, int, int]],
-    samples: int,
-    seed: int = 0,
-    budget: GroebnerBudget = DEFAULT_BUDGET,
-) -> dict:
-    """Sample systems per (p, m, n) size; every certified-nondegenerate one
-    must come back StableCertified from the exhaustive check."""
-    from .sampling import random_ar_system
-
-    rng = random.Random(seed)
-    report = {"sizes": [], "counterexamples": 0}
-    for p, m, n in sizes:
-        entry = {
-            "p": p,
-            "m": m,
-            "n": n,
-            "samples": samples,
-            "nondegenerate": 0,
-            "stable_certified": 0,
-            "not_certified": 0,
-            "counterexamples": [],
-        }
-        for _ in range(samples):
-            ar = random_ar_system(rng, m, p, n)
-            verdict = is_nondegenerate(ar, budget)
-            if verdict.status != DegeneracyStatus.NONDEGENERATE:
-                continue
-            entry["nondegenerate"] += 1
-            stab = stability_check(ar, StabilityMode.EXHAUSTIVE, budget=budget)
-            if stab.status == StabilityStatus.STABLE_CERTIFIED:
-                entry["stable_certified"] += 1
-            elif stab.status == StabilityStatus.NOT_CERTIFIED:
-                entry["not_certified"] += 1
-            else:
-                entry["counterexamples"].append(str(ar.P))
-        report["sizes"].append(entry)
-        report["counterexamples"] += len(entry["counterexamples"])
-    return report

@@ -6,19 +6,36 @@ paths under test (adjugate identities, Kalman rank tests, brute-force spans).
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from fbinv.arsys import ARSystem, is_observable
+from fbinv.arsys import (
+    ARSystem,
+    _assemble,
+    _component_offsets,
+    _vectorize,
+    is_observable,
+    mul_row_vector,
+)
+from fbinv.errors import SyzygyBudgetExceeded
 from fbinv.grassmann import GrassmannPoint
+from fbinv.ideals import DEFAULT_BUDGET, GroebnerBudget
 from fbinv.linalg import RatMatrix, frac
 from fbinv.multipoly import MultiPoly, mp_det
 from fbinv.poly import HomPoly, UniPoly, uni_mat_det
-from fbinv.polymatrix import HomPolyMatrix, maximal_minors, poly_gcd_list
+from fbinv.polymatrix import HomPolyMatrix, determinant, generic_rank, maximal_minors, poly_gcd_list
 from fbinv.realization import MFD, StateSpace, to_hom_ar
 from fbinv.sampling import random_ar_system
-from fbinv.stability import chart_parameter_matrix
+from fbinv.stability import (
+    DegeneracyStatus,
+    StabilityMode,
+    StabilityStatus,
+    chart_parameter_matrix,
+    is_nondegenerate,
+    stability_check,
+)
 
 
 def random_observable_ar_system(rng: random.Random, m: int, p: int, n: int, lo: int = -5, hi: int = 5) -> ARSystem:
@@ -215,3 +232,158 @@ def _divisors(n: int) -> list[int]:
     n = abs(n)
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return sorted(set(small + [n // d for d in small]))
+
+
+def euler_characteristic(rank: int, degree: int, ell: int) -> int:
+    """chi of a twisted sheaf on the projective line: rank (ell+1) + degree."""
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    return rank * (ell + 1) + degree
+
+
+def nondegenerate_implies_stable_suite(
+    sizes: Sequence[tuple[int, int, int]],
+    samples: int,
+    seed: int = 0,
+    budget: GroebnerBudget = DEFAULT_BUDGET,
+) -> dict:
+    """Sample systems per (p, m, n) size; every certified-nondegenerate one
+    must come back StableCertified from the exhaustive check."""
+    rng = random.Random(seed)
+    report = {"sizes": [], "counterexamples": 0}
+    for p, m, n in sizes:
+        entry = {
+            "p": p,
+            "m": m,
+            "n": n,
+            "samples": samples,
+            "nondegenerate": 0,
+            "stable_certified": 0,
+            "not_certified": 0,
+            "counterexamples": [],
+        }
+        for _ in range(samples):
+            ar = random_ar_system(rng, m, p, n)
+            verdict = is_nondegenerate(ar, budget)
+            if verdict.status != DegeneracyStatus.NONDEGENERATE:
+                continue
+            entry["nondegenerate"] += 1
+            stab = stability_check(ar, StabilityMode.EXHAUSTIVE, budget=budget)
+            if stab.status == StabilityStatus.STABLE_CERTIFIED:
+                entry["stable_certified"] += 1
+            elif stab.status == StabilityStatus.NOT_CERTIFIED:
+                entry["not_certified"] += 1
+            else:
+                entry["counterexamples"].append(str(ar.P))
+        report["sizes"].append(entry)
+        report["counterexamples"] += len(entry["counterexamples"])
+    return report
+
+
+@dataclass(frozen=True)
+class UnimodularWitness:
+    """A square homogeneous U with det a nonzero monomial in t, linking two systems."""
+
+    U: HomPolyMatrix
+
+
+def check_unimodular_witness(src: ARSystem, dst: ARSystem, witness: UnimodularWitness) -> bool:
+    """Verify that U has the right degree shape, unimodular determinant, and U P = P~."""
+    U = witness.U
+    p = src.p
+    if (src.m, src.p) != (dst.m, dst.p) or src.row_degrees != dst.row_degrees:
+        return False
+    if U.rows != p or U.cols != p:
+        return False
+    nu = src.row_degrees
+    for i in range(p):
+        for j in range(p):
+            entry = U.entries[i][j]
+            if entry.is_zero():
+                continue
+            if nu[i] - nu[j] < 0 or entry.degree != nu[i] - nu[j]:
+                return False
+    det = determinant(U)
+    if det.is_zero():
+        return False
+    nonzero = [j for j, c in enumerate(det.coeffs) if c != 0]
+    if nonzero != [det.degree]:  # a monomial in t only
+        return False
+    for i in range(p):
+        transformed = mul_row_vector(U.entries[i], src.P)
+        for got, want in zip(transformed, dst.P.entries[i]):
+            if not _same_poly(got, want):
+                return False
+    return True
+
+
+def _same_poly(a: HomPoly, b: HomPoly) -> bool:
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    return a.degree == b.degree and (a - b).is_zero()
+
+
+def reduction_kernel_generators(
+    M: HomPolyMatrix,
+    row_degrees: Sequence[int],
+    col_shifts: Sequence[int] | None = None,
+    max_degree: int = 0,
+    expected: int | None = None,
+) -> list[tuple[int, tuple[HomPoly, ...]]]:
+    """Minimal kernel generators by reducing each kernel vector against the shifted span.
+
+    The library reads the new generators off the kernel's own rref; this route
+    instead reduces every kernel basis vector by the span's rref and row-reduces
+    the remainders, which must give the same canonical rows.
+    """
+    shifts = tuple(col_shifts) if col_shifts is not None else tuple(0 for _ in range(M.cols))
+    if expected is None:
+        expected = M.cols - generic_rank(M)
+    gens: list[tuple[int, tuple[HomPoly, ...]]] = []
+    if expected == 0:
+        return gens
+    for d in range(0, max_degree + 1):
+        comp_degrees = [d - s for s in shifts]
+        offsets, total = _component_offsets(comp_degrees)
+        if total == 0:
+            continue
+        equations = []
+        for i in range(M.rows):
+            for a in range(row_degrees[i] + d + 1):
+                row = [Fraction(0)] * total
+                for j in range(M.cols):
+                    entry = M.entries[i][j]
+                    if comp_degrees[j] < 0 or entry.is_zero():
+                        continue
+                    for k in range(comp_degrees[j] + 1):
+                        b = a - k
+                        if 0 <= b <= entry.degree:
+                            row[offsets[j] + k] += entry.coeffs[b]
+                equations.append(row)
+        kernel = RatMatrix.from_rows(equations, total).right_nullspace()
+        if kernel.rows == 0:
+            continue
+        shifted = []
+        for e, gvec in gens:
+            for beta in range(d - e + 1):
+                moved = tuple(poly.shift(d - e - beta, beta) for poly in gvec)
+                shifted.append(_vectorize(moved, comp_degrees, offsets, total))
+        span, pivots = RatMatrix.from_rows(shifted, total).rref()
+        reductions = []
+        for cand in kernel.entries:
+            red = list(cand)
+            for r, pc in enumerate(pivots):
+                factor = red[pc]
+                if factor != 0:
+                    red = [a - factor * b for a, b in zip(red, span.entries[r])]
+            if any(x != 0 for x in red):
+                reductions.append(red)
+        fresh, _ = RatMatrix.from_rows(reductions, total).rref()
+        for row in fresh.entries:
+            gens.append((d, _assemble(row, comp_degrees, offsets)))
+        if len(gens) >= expected:
+            break
+    if len(gens) != expected:
+        raise SyzygyBudgetExceeded(f"kernel generators incomplete ({len(gens)}/{expected})")
+    gens.sort(key=lambda item: (item[0], tuple(c for poly in item[1] for c in poly.coeffs)))
+    return gens

@@ -8,7 +8,12 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import cleared_denominator_identity_holds, kalman_controllable, mfd_is_left_coprime
+from oracles import (
+    cleared_denominator_identity_holds,
+    kalman_controllable,
+    mfd_is_left_coprime,
+    nondegenerate_implies_stable_suite,
+)
 from fbinv.arsys import (
     act_T,
     compute_Q,
@@ -46,7 +51,6 @@ from fbinv.stability import (
     StabilityMode,
     StabilityStatus,
     is_nondegenerate,
-    nondegenerate_implies_stable_suite,
     stability_check,
     stacked_determinant,
 )

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fbinv.arsys import (
-    UnimodularWitness,
     act_T,
-    check_unimodular_witness,
     compute_Q,
     is_observable,
     kernel_product_is_zero,
@@ -21,7 +19,7 @@ from fbinv.poly import HomPoly
 from fbinv.polymatrix import HomPolyMatrix
 from fbinv.reference import reference_kernel_rows, reference_system
 from fbinv.sampling import random_ar_system, random_invertible
-from oracles import grassmann_point_of, random_observable_ar_system
+from oracles import UnimodularWitness, check_unimodular_witness, grassmann_point_of, random_observable_ar_system
 
 S = HomPoly.monomial(1, 1, 0)
 T = HomPoly.monomial(1, 0, 1)

@@ -242,8 +242,9 @@ _REFERENCE_AR = ar_to_json(reference_system())
             {**_REFERENCE_AR, "P": [[{"degree": 1, "terms": 7}] + row[1:] for row in _REFERENCE_AR["P"]]},
         ),
         ("factorize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "row_degrees": ["x"]}),
+        ("factorize", {"kind": "state_space", "A": [["1e99999999"]], "B": [["1"]], "C": [["1"]], "D": [["0"]]}),
     ],
-    ids=["ar-row-not-a-list", "terms-not-a-list", "mfd-degree-not-an-int"],
+    ids=["ar-row-not-a-list", "terms-not-a-list", "mfd-degree-not-an-int", "exponent-rational"],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, doc):
     path = tmp_path / "malformed.json"

@@ -8,7 +8,6 @@ from fbinv.poly import (
     HomPoly,
     UniPoly,
     dehomogenize,
-    hom_eval,
     homogenize,
     uni_mat_det,
 )
@@ -58,10 +57,10 @@ def test_round_trip_random():
 
 
 def test_eval_examples():
-    assert hom_eval(HomPoly.monomial(1, 2, 1), 2, 1) == 4
+    assert HomPoly.monomial(1, 2, 1).eval(2, 1) == 4
     diff = HomPoly.from_terms(2, [(1, 2, 0), (-1, 0, 2)])
-    assert hom_eval(diff, 1, 1) == 0
-    assert hom_eval(HomPoly.monomial(1, 1, 1), Fraction(1, 2), 4) == 2
+    assert diff.eval(1, 1) == 0
+    assert HomPoly.monomial(1, 1, 1).eval(Fraction(1, 2), 4) == 2
 
 
 def test_hompoly_add_degree_rules():

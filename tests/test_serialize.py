@@ -33,6 +33,12 @@ def test_rational_round_trip():
         parse_rational("1/0")
     with pytest.raises(ParseError):
         parse_rational(1.5)
+    for text in ("1.5", "2E3", "1e99999999", "1_000", " 3", "3 ", "\u0663", "1/\u0662", "1/-2", "", "/2", "0x10"):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+    assert rational_to_str(parse_rational("+3/6")) == "1/2"
+    with pytest.raises(ParseError):
+        parse_rational("1" * 5000)
 
 
 def test_hompoly_round_trip_and_degree_check():

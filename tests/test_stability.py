@@ -21,14 +21,12 @@ from fbinv.stability import (
     StabilityMode,
     StabilityStatus,
     chart_parameter_matrix,
-    euler_characteristic,
     is_nondegenerate,
     is_unit_certificate,
-    nondegenerate_implies_stable_suite,
     stability_check,
     stacked_determinant,
 )
-from oracles import laplace_stacked_determinant
+from oracles import euler_characteristic, laplace_stacked_determinant, nondegenerate_implies_stable_suite
 
 S = HomPoly.monomial(1, 1, 0)
 T = HomPoly.monomial(1, 0, 1)
