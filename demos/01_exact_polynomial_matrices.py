@@ -9,7 +9,6 @@ from fbinv import (
     HomPoly,
     HomPolyMatrix,
     determinant,
-    elimination_determinant,
     generic_rank,
     homogenize,
     maximal_minors,
@@ -28,10 +27,9 @@ print(f"s^2 + 3 homogenized to degree 2:   {h}")
 print(f"2s - 5 homogenized to degree 3:    {homogenize(UniPoly.from_coeffs([-5, 2]), 3)}")
 
 print()
-print("== determinants, two independent ways ==")
+print("== determinants ==")
 m = HomPolyMatrix.from_rows([[s, t], [t, s]])
 print(f"det [[s, t], [t, s]] by expansion:    {determinant(m)}")
-print(f"det [[s, t], [t, s]] by elimination:  {elimination_determinant(m)}")
 
 print()
 print("== maximal minors and generic rank ==")

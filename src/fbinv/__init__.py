@@ -34,7 +34,6 @@ from .poly import HomPoly, UniPoly, dehomogenize, homogenize
 from .polymatrix import (
     HomPolyMatrix,
     determinant,
-    elimination_determinant,
     generic_rank,
     maximal_minors,
     poly_gcd_list,

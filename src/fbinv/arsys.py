@@ -152,7 +152,8 @@ def minimal_kernel_generators(
     row_degrees: Sequence[int],
     col_shifts: Sequence[int] | None = None,
     max_degree: int = 0,
-    expected: int | None = None,
+    *,
+    expected: int,
 ) -> list[tuple[int, tuple[HomPoly, ...]]]:
     """Minimal homogeneous generators of {v : M v^T = 0}.
 
@@ -163,11 +164,11 @@ def minimal_kernel_generators(
     anything already generated by monomial multiples of lower-degree
     generators.  The result is canonical: within each degree the new
     generators are the rows of the kernel's rref whose pivots are not pivots
-    of the shifted span.
+    of the shifted span.  `expected` is the rank of the kernel module, which
+    every caller knows from the shape of M.
     """
     shifts = tuple(col_shifts) if col_shifts is not None else tuple(0 for _ in range(M.cols))
-    if expected is None:
-        expected = M.cols - generic_rank(M)
+    columns = M.transpose().entries
     gens: list[tuple[int, tuple[HomPoly, ...]]] = []
     if expected == 0:
         return gens
@@ -176,25 +177,9 @@ def minimal_kernel_generators(
         offsets, total = _component_offsets(comp_degrees)
         if total == 0:
             continue
-        equations = []
-        for i in range(M.rows):
-            out_degree = row_degrees[i] + d
-            for a in range(out_degree + 1):
-                row = [Fraction(0)] * total
-                for j in range(M.cols):
-                    dj = comp_degrees[j]
-                    if dj < 0:
-                        continue
-                    entry = M.entries[i][j]
-                    if entry.is_zero():
-                        continue
-                    base = offsets[j]
-                    for k in range(dj + 1):
-                        b = a - k
-                        if 0 <= b <= entry.degree and entry.coeffs[b] != 0:
-                            row[base + k] += entry.coeffs[b]
-                equations.append(row)
-        kernel = RatMatrix.from_rows(equations, total).right_nullspace()
+        # column (j, k) holds column j of M times s^(d_j - k) t^k
+        multiples = _multiples(columns, shifts, d, [e + d for e in row_degrees])
+        kernel = RatMatrix.from_rows(multiples).transpose().right_nullspace()
         if kernel.rows == 0:
             continue
         # the span of lower generators lies in the kernel, so its pivots are
@@ -224,7 +209,7 @@ def minimal_kernel_generators(
 
 
 def minimal_left_kernel(
-    M: HomPolyMatrix, row_degrees: Sequence[int], max_degree: int, expected: int | None = None
+    M: HomPolyMatrix, row_degrees: Sequence[int], max_degree: int, *, expected: int
 ) -> list[tuple[int, tuple[HomPoly, ...]]]:
     """Minimal generators of {w : w M = 0} for per-row-uniform M."""
     return minimal_kernel_generators(

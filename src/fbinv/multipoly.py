@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over the rationals.
 
 These carry the parametrized coefficient systems produced by chart
-parametrizations (unknown entries of constant matrices) and back the exact
-elimination fallback for polynomial-matrix ranks.
+parametrizations (unknown entries of constant matrices) and their Groebner
+reductions.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import DegreeMismatch, NotSquare
+from .errors import DegreeMismatch
 from .linalg import ONE, ZERO, frac, subset_det
 
 Exponents = tuple[int, ...]
@@ -208,90 +208,7 @@ def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly], key: OrderKey = gre
     return rem
 
 
-def exact_div(f: MultiPoly, g: MultiPoly, key: OrderKey = grevlex_key) -> MultiPoly:
-    """Quotient f / g when the division is known to be exact."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    quo = MultiPoly(f.variables)
-    rem = f
-    g_exps, g_c = g.leading(key)
-    while not rem.is_zero():
-        lt_exps, lt_c = rem.leading(key)
-        if not divides(g_exps, lt_exps):
-            raise DegreeMismatch("division is not exact")
-        shift = tuple(a - b for a, b in zip(lt_exps, g_exps))
-        c = lt_c / g_c
-        quo = quo + MultiPoly(f.variables, {shift: c})
-        rem = rem - g.mul_term(shift, c)
-    return quo
-
-
 def mp_det(grid: Sequence[Sequence[MultiPoly]], variables: Sequence[str]) -> MultiPoly:
     """Determinant of a MultiPoly grid by column-subset dynamic programming."""
     det = subset_det(grid, MultiPoly.constant(variables, 1))
     return MultiPoly(variables) if det is None else det
-
-
-def bareiss_rank(grid: list[list[MultiPoly]], variables: Sequence[str]) -> int:
-    """Exact rank over the fraction field by fraction-free elimination.
-
-    Intermediate entries are minors of the input, so every division is exact.
-    """
-    rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    work = [list(row) for row in grid]
-    prev = MultiPoly.constant(variables, 1)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = None
-        for i in range(r, rows):
-            if not work[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, rows):
-            row_i = work[i]
-            lead = row_i[c]
-            for j in range(c + 1, cols):
-                num = piv * row_i[j] - lead * work[r][j]
-                row_i[j] = exact_div(num, prev) if not num.is_zero() else num
-            row_i[c] = MultiPoly(variables)
-        prev = piv
-        r += 1
-    return r
-
-
-def bareiss_det(grid: list[list[MultiPoly]], variables: Sequence[str]) -> MultiPoly:
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise NotSquare("determinant of a non-square grid")
-    if n == 0:
-        return MultiPoly.constant(variables, 1)
-    work = [list(row) for row in grid]
-    prev = MultiPoly.constant(variables, 1)
-    sign = 1
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if not work[i][k].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return MultiPoly(variables)
-        if pivot != k:
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        piv = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = piv * work[i][j] - work[i][k] * work[k][j]
-                work[i][j] = exact_div(num, prev) if not num.is_zero() else num
-            work[i][k] = MultiPoly(variables)
-        prev = piv
-    det = work[n - 1][n - 1]
-    return det if sign == 1 else det.scale(-1)

@@ -210,16 +210,15 @@ class HomPoly:
         return HomPoly(d, tuple(out))
 
     def eval(self, s0, t0) -> Fraction:
+        """Horner's rule in s0, carrying one running power of t0."""
+        if self.is_zero():
+            return ZERO
         s0, t0 = frac(s0), frac(t0)
         acc = ZERO
-        spow = [ONE]
-        tpow = [ONE]
-        for _ in range(self.degree):
-            spow.append(spow[-1] * s0)
-            tpow.append(tpow[-1] * t0)
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                acc += c * spow[self.degree - j] * tpow[j]
+        tpow = ONE
+        for c in self.coeffs:
+            acc = acc * s0 + c * tpow
+            tpow *= t0
         return acc
 
     def t_valuation(self) -> int:

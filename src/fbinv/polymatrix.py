@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import AllZero, BadSize, NotSquare, ShapeMismatch, ZeroPoint
+from .errors import AllZero, BadSize, NotHomogeneous, ShapeMismatch, ZeroPoint
 from .linalg import RatMatrix, frac, subset_det
-from .multipoly import MultiPoly, bareiss_det, bareiss_rank
 from .poly import HomPoly, UniPoly, homogenize
-
-_ST = ("s", "t")
 
 
 @dataclass(frozen=True)
@@ -79,17 +74,6 @@ class HomPolyMatrix:
         s0, t0 = frac(s0), frac(t0)
         return RatMatrix.from_rows([[e.eval(s0, t0) for e in row] for row in self.entries], self.cols)
 
-    def to_multipoly_grid(self) -> list[list[MultiPoly]]:
-        grid = []
-        for row in self.entries:
-            grid.append(
-                [
-                    MultiPoly(_ST, {(e.degree - j, j): c for j, c in enumerate(e.coeffs) if c != 0})
-                    for e in row
-                ]
-            )
-        return grid
-
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
 
@@ -107,24 +91,6 @@ def determinant(matrix: HomPolyMatrix) -> HomPoly:
     return det
 
 
-def elimination_determinant(matrix: HomPolyMatrix) -> HomPoly:
-    """Determinant by fraction-free (Bareiss) elimination; independent of `determinant`."""
-    if matrix.rows != matrix.cols:
-        raise NotSquare("determinant of a non-square matrix")
-    det = bareiss_det(matrix.to_multipoly_grid(), _ST)
-    label = sum(matrix.row_degree_label(i) for i in range(matrix.rows))
-    if det.is_zero():
-        return HomPoly.zero(label)
-    degs = {sum(e) for e in det.terms}
-    if len(degs) != 1:
-        raise NotSquare("determinant is not homogeneous")  # pragma: no cover
-    d = degs.pop()
-    out = [Fraction(0)] * (d + 1)
-    for (a, b), c in det.terms.items():
-        out[b] = c
-    return HomPoly(d, tuple(out))
-
-
 def maximal_minors(matrix: HomPolyMatrix, k: int) -> list[HomPoly]:
     """All k x k minors drawn from the first k rows, in lexicographic column order."""
     if k < 1 or k > min(matrix.rows, matrix.cols):
@@ -140,20 +106,30 @@ def rank_at_point(matrix: HomPolyMatrix, s0, t0) -> int:
     return matrix.evaluate(s0, t0).rank()
 
 
-def generic_rank(matrix: HomPolyMatrix, seed: int = 0) -> int:
-    """Rank over the field of rational functions.
+def generic_rank(matrix: HomPolyMatrix) -> int:
+    """Rank over the field of rational functions k(s, t), exactly.
 
-    A random integer evaluation gives a lower bound; full evaluated rank is a
-    certificate, otherwise fall back to exact fraction-free elimination.
+    Each row must be homogeneous of one degree (zero entries are wildcards).
+    Every minor of size up to r = min(rows, cols) is then a binary form of
+    degree at most D, the sum of the r largest degrees among the nonzero rows.
+    A nonzero binary form of degree at most D vanishes at no more than D
+    points of the projective line, so the largest rank at the D + 1 points
+    (k : 1), k = 1..D+1, is the generic rank.
     """
-    rng = random.Random(seed)
-    s0, t0 = rng.randint(-10_000, 10_000), rng.randint(-10_000, 10_000)
-    while s0 == 0 and t0 == 0:  # pragma: no cover - probability 1/(2*10^4+1)^2
-        s0, t0 = rng.randint(-10_000, 10_000), rng.randint(-10_000, 10_000)
+    degrees = []
+    for row in matrix.entries:
+        row_degrees = {e.degree for e in row if not e.is_zero()}
+        if len(row_degrees) > 1:
+            raise NotHomogeneous(f"row mixes degrees {sorted(row_degrees)}")
+        degrees.extend(row_degrees)
     bound = min(matrix.rows, matrix.cols)
-    if rank_at_point(matrix, s0, t0) == bound:
-        return bound
-    return bareiss_rank(matrix.to_multipoly_grid(), _ST)
+    D = sum(sorted(degrees, reverse=True)[:bound])
+    best = 0
+    for k in range(1, D + 2):
+        best = max(best, rank_at_point(matrix, k, 1))
+        if best == bound:
+            break
+    return best
 
 
 def poly_gcd_list(polys: Sequence[HomPoly]) -> HomPoly:

@@ -22,6 +22,11 @@ from .poly import HomPoly, UniPoly
 from .polymatrix import HomPolyMatrix
 from .realization import MFD, StateSpace
 
+# Largest polynomial or row degree a document may declare.  Past parsing,
+# nothing finishes near it: the kernel engine's degree-n system alone has
+# (m+p)(n+1) columns.
+MAX_DEGREE = 1000
+
 
 def rational_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -56,6 +61,13 @@ def _parse_int(value, what: str) -> int:
         raise ParseError(f"bad {what} {value!r}: {exc}") from None
 
 
+def _parse_degree(value, what: str) -> int:
+    degree = _parse_int(value, what)
+    if degree > MAX_DEGREE:
+        raise ParseError(f"{what} {degree} exceeds the limit {MAX_DEGREE}")
+    return degree
+
+
 def _nested_list(data, what: str) -> list[list]:
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{what} must be a nested list")
@@ -84,6 +96,8 @@ def parse_hompoly(data) -> HomPoly:
     degree = data["degree"]
     if not _is_int(degree) or degree < 0:
         raise ParseError(f"bad degree {degree!r}")
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
     if not isinstance(data["terms"], list):
         raise ParseError("'terms' must be a list")
     triples = []
@@ -132,7 +146,7 @@ def parse_ar(data) -> ARSystem:
         raise ParseError("'row_degrees' must be a list")
     return validate(
         HomPolyMatrix.from_rows(grid),
-        [_parse_int(d, "row degree") for d in degrees],
+        [_parse_degree(d, "row degree") for d in degrees],
         _parse_int(data["m"], "'m'"),
         _parse_int(data["p"], "'p'"),
     )
@@ -198,7 +212,7 @@ def parse_mfd(data) -> MFD:
     return MFD(
         Dmat,
         Nmat,
-        tuple(_parse_int(d, "row degree") for d in degrees),
+        tuple(_parse_degree(d, "row degree") for d in degrees),
         improper=bool(data.get("improper", False)),
         reduced_from=reduced_from,
     )

@@ -385,7 +385,7 @@ def _generic_subspace_check(Q, bounds, width, seed, flag_samples) -> StabilityVe
         achieved = 0
         for A in flags:
             moved = Q.mul_rat(A).submatrix(range(Q.rows), range(bound.h))
-            achieved = max(achieved, generic_rank(moved, seed=rng.randint(0, 2**30)))
+            achieved = max(achieved, generic_rank(moved))
             if achieved >= bound.strict_bound:
                 break
         strict_ok = achieved >= bound.strict_bound

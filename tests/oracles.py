@@ -1,7 +1,8 @@
 """Independent oracles used by the test-suite.
 
 These recompute expected values by routes that share nothing with the library
-paths under test (adjugate identities, Kalman rank tests, brute-force spans).
+paths under test (adjugate identities, Kalman rank tests, brute-force spans,
+fraction-free elimination over polynomials).
 """
 
 import math
@@ -19,11 +20,11 @@ from fbinv.arsys import (
     is_observable,
     mul_row_vector,
 )
-from fbinv.errors import SyzygyBudgetExceeded
+from fbinv.errors import DegreeMismatch, NotSquare, SyzygyBudgetExceeded
 from fbinv.grassmann import GrassmannPoint
 from fbinv.ideals import DEFAULT_BUDGET, GroebnerBudget
 from fbinv.linalg import RatMatrix, frac
-from fbinv.multipoly import MultiPoly, mp_det
+from fbinv.multipoly import MultiPoly, OrderKey, divides, grevlex_key, mp_det
 from fbinv.poly import HomPoly, UniPoly, uni_mat_det
 from fbinv.polymatrix import HomPolyMatrix, determinant, generic_rank, maximal_minors, poly_gcd_list
 from fbinv.realization import MFD, StateSpace, to_hom_ar
@@ -387,3 +388,125 @@ def reduction_kernel_generators(
         raise SyzygyBudgetExceeded(f"kernel generators incomplete ({len(gens)}/{expected})")
     gens.sort(key=lambda item: (item[0], tuple(c for poly in item[1] for c in poly.coeffs)))
     return gens
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free (Bareiss) elimination over MultiPoly: ranks and determinants of
+# polynomial matrices by exact division, independent of evaluation and of the
+# column-subset expansion.
+
+_ST = ("s", "t")
+
+
+def to_multipoly_grid(matrix: HomPolyMatrix) -> list[list[MultiPoly]]:
+    """The entries as polynomials in the variables s, t."""
+    return [
+        [MultiPoly(_ST, {(e.degree - j, j): c for j, c in enumerate(e.coeffs) if c != 0}) for e in row]
+        for row in matrix.entries
+    ]
+
+
+def exact_div(f: MultiPoly, g: MultiPoly, key: OrderKey = grevlex_key) -> MultiPoly:
+    """Quotient f / g when the division is known to be exact."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    quo = MultiPoly(f.variables)
+    rem = f
+    g_exps, g_c = g.leading(key)
+    while not rem.is_zero():
+        lt_exps, lt_c = rem.leading(key)
+        if not divides(g_exps, lt_exps):
+            raise DegreeMismatch("division is not exact")
+        shift = tuple(a - b for a, b in zip(lt_exps, g_exps))
+        c = lt_c / g_c
+        quo = quo + MultiPoly(f.variables, {shift: c})
+        rem = rem - g.mul_term(shift, c)
+    return quo
+
+
+def bareiss_rank(grid: list[list[MultiPoly]], variables: Sequence[str]) -> int:
+    """Exact rank over the fraction field by fraction-free elimination.
+
+    Intermediate entries are minors of the input, so every division is exact.
+    """
+    rows = len(grid)
+    cols = len(grid[0]) if rows else 0
+    work = [list(row) for row in grid]
+    prev = MultiPoly.constant(variables, 1)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = None
+        for i in range(r, rows):
+            if not work[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        piv = work[r][c]
+        for i in range(r + 1, rows):
+            row_i = work[i]
+            lead = row_i[c]
+            for j in range(c + 1, cols):
+                num = piv * row_i[j] - lead * work[r][j]
+                row_i[j] = exact_div(num, prev) if not num.is_zero() else num
+            row_i[c] = MultiPoly(variables)
+        prev = piv
+        r += 1
+    return r
+
+
+def bareiss_det(grid: list[list[MultiPoly]], variables: Sequence[str]) -> MultiPoly:
+    n = len(grid)
+    if any(len(row) != n for row in grid):
+        raise NotSquare("determinant of a non-square grid")
+    if n == 0:
+        return MultiPoly.constant(variables, 1)
+    work = [list(row) for row in grid]
+    prev = MultiPoly.constant(variables, 1)
+    sign = 1
+    for k in range(n):
+        pivot = None
+        for i in range(k, n):
+            if not work[i][k].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            return MultiPoly(variables)
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        piv = work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = piv * work[i][j] - work[i][k] * work[k][j]
+                work[i][j] = exact_div(num, prev) if not num.is_zero() else num
+            work[i][k] = MultiPoly(variables)
+        prev = piv
+    det = work[n - 1][n - 1]
+    return det if sign == 1 else det.scale(-1)
+
+
+def elimination_rank(matrix: HomPolyMatrix) -> int:
+    """Rank over k(s, t) by fraction-free elimination; independent of evaluation."""
+    return bareiss_rank(to_multipoly_grid(matrix), _ST)
+
+
+def elimination_determinant(matrix: HomPolyMatrix) -> HomPoly:
+    """Determinant by fraction-free elimination; independent of `determinant`."""
+    if matrix.rows != matrix.cols:
+        raise NotSquare("determinant of a non-square matrix")
+    det = bareiss_det(to_multipoly_grid(matrix), _ST)
+    label = sum(matrix.row_degree_label(i) for i in range(matrix.rows))
+    if det.is_zero():
+        return HomPoly.zero(label)
+    degs = {sum(e) for e in det.terms}
+    if len(degs) != 1:
+        raise NotSquare("determinant is not homogeneous")
+    d = degs.pop()
+    out = [Fraction(0)] * (d + 1)
+    for (a, b), c in det.terms.items():
+        out[b] = c
+    return HomPoly(d, tuple(out))

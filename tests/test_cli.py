@@ -6,7 +6,7 @@ import pytest
 from fbinv.cli import main
 from fbinv.reference import reference_system
 from fbinv.sampling import random_state_space
-from fbinv.serialize import ar_to_json, dumps, state_space_to_json
+from fbinv.serialize import MAX_DEGREE, ar_to_json, dumps, state_space_to_json
 
 
 @pytest.fixture
@@ -252,3 +252,32 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, doc):
     code, report = run(capsys, command, str(path))
     assert code == 2
     assert report["error"] == "ParseError"
+
+
+_OVER = MAX_DEGREE + 1
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (
+            "nondegenerate",
+            {"kind": "ar", "m": 1, "p": 1, "row_degrees": [1],
+             "P": [[{"degree": _OVER, "terms": [["1", _OVER, 0]]}, {"degree": 1, "terms": [["1", 0, 1]]}]]},
+        ),
+        (
+            "nondegenerate",
+            {"kind": "ar", "m": 1, "p": 1, "row_degrees": [_OVER],
+             "P": [[{"degree": 0, "terms": []}, {"degree": 0, "terms": []}]]},
+        ),
+        ("homogenize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "row_degrees": [_OVER]}),
+    ],
+    ids=["polynomial-degree", "ar-row-degree", "mfd-row-degree"],
+)
+def test_declared_degree_above_the_bound_is_a_parse_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "too_high.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, command, str(path))
+    assert code == 2
+    assert report["error"] == "ParseError"
+    assert str(MAX_DEGREE) in report["message"]

@@ -89,7 +89,8 @@ def test_low_rank_subspace_negative_fuzz():
                 if H.rank() != report.h:
                     continue
                 moved = syz.Q.mul_rat(H.transpose())
-                assert generic_rank(moved, seed=rng.randint(0, 999)) >= report.strict_bound
+                rng.randint(0, 999)  # spare draw, kept so the sampled subspaces stay fixed
+                assert generic_rank(moved) >= report.strict_bound
 
 
 def test_groebner_on_products_of_linear_forms():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,26 @@ def test_round_trip_random():
         f = UniPoly.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(0, d + 1))])
         target = max(f.degree, 0) + rng.randint(0, 3)
         assert dehomogenize(homogenize(f, target)) == f
+
+
+def test_eval_matches_the_term_sum():
+    rng = random.Random(5)
+    for _ in range(50):
+        d = rng.randint(0, 6)
+        h = HomPoly.from_coeffs(d, [rng.randint(-4, 4) for _ in range(d + 1)])
+        s0, t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5)), Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        assert h.eval(s0, t0) == sum(c * s0 ** (d - j) * t0**j for j, c in enumerate(h.coeffs))
+
+
+def test_eval_memory_does_not_grow_with_the_square_of_the_degree():
+    zero = HomPoly.zero(10**4)
+    tracemalloc.start()
+    try:
+        assert zero.eval(12345, 6789) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_eval_examples():

@@ -126,8 +126,8 @@ def _valid_documents() -> list[dict]:
 def test_parse_system_fuzz_raises_only_fbinv_errors():
     """Random JSON trees and valid documents with one field changed or removed.
 
-    Integers, floats and strings stay small: a declared degree is allocated
-    densely, so a huge one is a memory problem rather than a parse error.
+    Integers and floats range over every size: a declared degree above the
+    parse bound is a ParseError before anything is allocated for it.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -135,7 +135,9 @@ def test_parse_system_fuzz_raises_only_fbinv_errors():
         st.none(),
         st.booleans(),
         st.integers(-3, 6),
+        st.integers(),
         st.floats(-8, 8),
+        st.floats(),
         st.text("0123456789/-+. ex", max_size=5),
         st.sampled_from(["ar", "state_space", "mfd", "pencil", "transform"]),
     )
