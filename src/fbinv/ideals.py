@@ -37,6 +37,8 @@ class GroebnerBudget:
 
 
 DEFAULT_BUDGET = GroebnerBudget()
+# budget of the lex basis that `solve_if_zero_dimensional` reads points off
+LEX_BUDGET = GroebnerBudget(max_pairs=400, max_degree=40)
 
 
 class IdealStatus(str, Enum):
@@ -147,21 +149,11 @@ def _reduce_basis(basis: list[MultiPoly], key: OrderKey) -> list[MultiPoly]:
         ):
             continue
         kept.append(g)
-    # tail-reduce until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            reduced = normal_form(kept[i], others, key) if others else kept[i]
-            reduced = reduced.monic(key)
-            if reduced != kept[i]:
-                changed = True
-                if reduced.is_zero():
-                    kept.pop(i)
-                else:
-                    kept[i] = reduced
-                break
+    # no leading term of `kept` divides another, so one pass of tail reduction
+    # against the other members gives the reduced basis
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        kept[i] = (normal_form(g, others, key) if others else g).monic(key)
     kept.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
     return kept
 
@@ -330,9 +322,7 @@ def _sign_at(ints: Sequence[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def solve_if_zero_dimensional(
-    basis: Sequence[MultiPoly], budget: GroebnerBudget = GroebnerBudget(max_pairs=400, max_degree=40)
-) -> list[tuple[Fraction, ...]] | None:
+def solve_if_zero_dimensional(basis: Sequence[MultiPoly]) -> list[tuple[Fraction, ...]] | None:
     """Best-effort rational points of a zero-dimensional ideal given a reduced basis.
 
     Returns None when the ideal is {1}, not visibly zero-dimensional, or when
@@ -349,7 +339,7 @@ def solve_if_zero_dimensional(
         return None
     if not is_zero_dimensional(polys):
         return None
-    lex_basis, exceeded = _buchberger(polys, budget, lex_key)
+    lex_basis, exceeded = _buchberger(polys, LEX_BUDGET, lex_key)
     if exceeded:
         return None
     points: list[tuple[Fraction, ...]] = []

@@ -61,15 +61,6 @@ class RatMatrix:
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -283,23 +274,21 @@ def block_matrix(blocks: Sequence[Sequence[RatMatrix]]) -> RatMatrix:
     return rows
 
 
-def subset_det(grid: Sequence[Sequence], one):
-    """Determinant of a square grid by column-subset dynamic programming.
+def subset_minors(rows: Sequence[Sequence], one) -> dict:
+    """Every nonzero k x k minor of a k x N grid, by one column-subset expansion.
 
-    Works for any entry type with `is_zero`, `+`, `*` and unary `-`; `one` is
-    the multiplicative unit of that type.  Returns None when the determinant
-    vanishes, so each caller can build the zero of its own type.
+    After row i the expansion holds, for each i-subset S of the columns, the
+    minor on the first i rows and the columns S; every k-subset shares the
+    partial minors on its own subsets.  Works for any entry type with
+    `is_zero`, `+`, `*` and unary `-`; `one` is the multiplicative unit of
+    that type.  Returns a dict from sorted column tuples to the nonzero
+    minors, so each caller builds the zeros of its own type.
     """
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise NotSquare("determinant of a non-square grid")
     acc = {0: one}
-    for row in grid:
+    for row in rows:
         entries = [(c, 1 << c, e) for c, e in enumerate(row) if not e.is_zero()]
         nxt = {}
         for mask, val in acc.items():
-            if val.is_zero():
-                continue
             for c, bit, e in entries:
                 if mask & bit:
                     continue
@@ -307,8 +296,13 @@ def subset_det(grid: Sequence[Sequence], one):
                 term = val * e if bin(mask >> (c + 1)).count("1") % 2 == 0 else val * -e
                 key = mask | bit
                 nxt[key] = nxt[key] + term if key in nxt else term
-        if not nxt:
-            return None
-        acc = nxt
-    det = acc[(1 << n) - 1]
-    return None if det.is_zero() else det
+        acc = {mask: val for mask, val in nxt.items() if not val.is_zero()}
+    return {tuple(c for c in range(mask.bit_length()) if mask >> c & 1): val for mask, val in acc.items()}
+
+
+def subset_det(grid: Sequence[Sequence], one):
+    """Determinant of a square grid by `subset_minors`; None when it vanishes."""
+    n = len(grid)
+    if any(len(row) != n for row in grid):
+        raise NotSquare("determinant of a non-square grid")
+    return subset_minors(grid, one).get(tuple(range(n)))

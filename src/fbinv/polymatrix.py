@@ -7,7 +7,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import AllZero, BadSize, NotHomogeneous, ShapeMismatch, ZeroPoint
-from .linalg import RatMatrix, frac, subset_det
+from .linalg import RatMatrix, frac, subset_det, subset_minors
 from .poly import HomPoly, UniPoly, homogenize
 
 
@@ -27,12 +27,6 @@ class HomPolyMatrix:
     def from_rows(cls, rows: Sequence[Sequence[HomPoly]]) -> "HomPolyMatrix":
         grid = tuple(tuple(row) for row in rows)
         return cls(len(grid), len(grid[0]) if grid else 0, grid)
-
-    def at(self, i: int, j: int) -> HomPoly:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[HomPoly, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "HomPolyMatrix":
         return HomPolyMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
@@ -66,9 +60,7 @@ class HomPolyMatrix:
         return HomPolyMatrix(self.rows, mat.cols, tuple(out))
 
     def row_degree_label(self, i: int) -> int:
-        """Formal degree of row i: the label of any nonzero entry, else the first entry's."""
-        degs = [e.degree for e in self.entries[i] if not e.is_zero()]
-        return degs[0] if degs else self.entries[i][0].degree
+        return _degree_label(self.entries[i])
 
     def evaluate(self, s0, t0) -> RatMatrix:
         s0, t0 = frac(s0), frac(t0)
@@ -76,6 +68,11 @@ class HomPolyMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
+
+
+def _degree_label(row: Sequence[HomPoly]) -> int:
+    """Formal degree of a row: the label of any nonzero entry, else the first entry's."""
+    return next((e.degree for e in row if not e.is_zero()), row[0].degree)
 
 
 def determinant(matrix: HomPolyMatrix) -> HomPoly:
@@ -87,16 +84,24 @@ def determinant(matrix: HomPolyMatrix) -> HomPoly:
     """
     det = subset_det(matrix.entries, HomPoly.constant(1))
     if det is None:
-        return HomPoly.zero(sum(matrix.row_degree_label(i) for i in range(matrix.rows)))
+        return HomPoly.zero(sum(map(_degree_label, matrix.entries)))
     return det
 
 
 def maximal_minors(matrix: HomPolyMatrix, k: int) -> list[HomPoly]:
-    """All k x k minors drawn from the first k rows, in lexicographic column order."""
+    """All k x k minors drawn from the first k rows, in lexicographic column order.
+
+    A vanishing minor is labelled, as by `determinant`, with the summed
+    degree labels of its rows restricted to its columns.
+    """
     if k < 1 or k > min(matrix.rows, matrix.cols):
         raise BadSize(f"minor size {k} out of range for {matrix.rows}x{matrix.cols}")
-    top = range(k)
-    return [determinant(matrix.submatrix(top, cols)) for cols in combinations(range(matrix.cols), k)]
+    top = matrix.entries[:k]
+    found = subset_minors(top, HomPoly.constant(1))
+    return [
+        found[cols] if cols in found else HomPoly.zero(sum(_degree_label([row[j] for j in cols]) for row in top))
+        for cols in combinations(range(matrix.cols), k)
+    ]
 
 
 def rank_at_point(matrix: HomPolyMatrix, s0, t0) -> int:

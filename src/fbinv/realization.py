@@ -8,7 +8,7 @@ the transfer function is D^{-1} N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .arsys import ARSystem, minimal_left_kernel, rho_embedding, validate
+from .arsys import ARSystem, act_T, minimal_left_kernel, rho_embedding, validate
 from .errors import NotObservable, ShapeMismatch, SingularTransform
 from .linalg import RatMatrix, block_matrix
 from .poly import HomPoly, UniPoly, dehomogenize, homogenize, uni_mat_det
@@ -77,19 +77,15 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class FeedbackTransform:
-    """State/input/output basis changes plus output feedback u -> u + F y
-    (and, for proper systems, feed-forward y -> y + G u)."""
+    """State/input/output basis changes plus output feedback u -> u + F y."""
 
     S: RatMatrix
     T1: RatMatrix
     T2: RatMatrix
     F: RatMatrix
-    G: RatMatrix | None = None
 
     def __post_init__(self):
         n, m, p = self.S.rows, self.T1.rows, self.T2.rows
-        if self.G is None:
-            object.__setattr__(self, "G", RatMatrix.zeros(p, m))
         for mat, size, name in ((self.S, n, "S"), (self.T1, m, "T1"), (self.T2, p, "T2")):
             if mat.rows != size or mat.cols != size:
                 raise ShapeMismatch(f"{name} must be square")
@@ -97,10 +93,6 @@ class FeedbackTransform:
                 raise SingularTransform(f"{name} is singular")
         if self.F.rows != m or self.F.cols != p:
             raise ShapeMismatch("F must map output space to input space")
-        if self.G.rows != p or self.G.cols != m:
-            raise ShapeMismatch("G must map input space to output space")
-        if not self.block_matrix().is_invertible():  # pragma: no cover - structural
-            raise SingularTransform("assembled external block matrix is singular")
 
     @classmethod
     def identity(cls, n: int, m: int, p: int) -> "FeedbackTransform":
@@ -109,12 +101,7 @@ class FeedbackTransform:
             RatMatrix.identity(m),
             RatMatrix.identity(p),
             RatMatrix.zeros(m, p),
-            RatMatrix.zeros(p, m),
         )
-
-    def block_matrix(self) -> RatMatrix:
-        """The raw block assembly [[T1, F], [G, T2]] on (u; y)."""
-        return block_matrix([[self.T1, self.F], [self.G, self.T2]])
 
     def external_matrix(self) -> RatMatrix:
         """The matrix carrying old external variables to new ones.
@@ -124,20 +111,15 @@ class FeedbackTransform:
         [[T1, -T1 F], [0, T2]] applied to the old pair: the closed loop reads
         u_old = v + F y, so v = u_old - F y picks up the sign on F.
         """
-        if not self.G.is_zero():
-            raise ShapeMismatch("external matrix is defined for strictly proper actions (G = 0)")
         return block_matrix([[self.T1, -(self.T1 @ self.F)], [RatMatrix.zeros(self.T2.rows, self.T1.cols), self.T2]])
 
     def then(self, other: "FeedbackTransform") -> "FeedbackTransform":
         """Composite transform: apply self first, then other."""
-        if not (self.G.is_zero() and other.G.is_zero()):
-            raise ShapeMismatch("composition implemented for G = 0 transforms")
         return FeedbackTransform(
             S=other.S @ self.S,
             T1=other.T1 @ self.T1,
             T2=other.T2 @ self.T2,
             F=self.F + self.T1.inverse() @ other.F @ self.T2,
-            G=self.G,
         )
 
 
@@ -168,8 +150,6 @@ def apply_full_feedback(ss: StateSpace, g: FeedbackTransform) -> StateSpace:
     """Composite of u -> u + F y with the three basis changes, on D = 0 systems."""
     if not ss.is_strictly_proper():
         raise ShapeMismatch("full feedback action is defined for strictly proper systems")
-    if not g.G.is_zero():
-        raise ShapeMismatch("feed-forward requires the extended action on proper systems")
     s_inv = g.S.inverse()
     closed = ss.A + ss.B @ g.F @ ss.C
     return StateSpace(
@@ -286,9 +266,6 @@ def extended_action_consistency(ss: StateSpace, g: FeedbackTransform) -> bool:
     Both routes are compared through their rho Grassmann points at ell = n.
     """
     route1 = to_hom_ar(left_coprime_mfd(apply_full_feedback(ss, g)))
-    route2_ar = to_hom_ar(left_coprime_mfd(ss))
-    from .arsys import act_T
-
-    route2 = act_T(route2_ar, g.external_matrix())
+    route2 = act_T(to_hom_ar(left_coprime_mfd(ss)), g.external_matrix())
     ell = max(route1.n, route2.n)
     return rho_embedding(route1, ell) == rho_embedding(route2, ell)

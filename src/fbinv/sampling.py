@@ -91,5 +91,4 @@ def random_feedback_transform(rng: random.Random, n: int, m: int, p: int, lo: in
         T1=random_invertible(rng, m, lo, hi),
         T2=random_invertible(rng, p, lo, hi),
         F=random_rat_matrix(rng, m, p, lo, hi),
-        G=RatMatrix.zeros(p, m),
     )

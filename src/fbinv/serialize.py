@@ -55,14 +55,16 @@ def _is_int(value) -> bool:
 
 
 def _parse_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad {what} {value!r}: {exc}") from None
+    """A JSON integer, taken as it is: no float, string or bool is converted."""
+    if not _is_int(value):
+        raise ParseError(f"bad {what} {value!r}")
+    return value
 
 
 def _parse_degree(value, what: str) -> int:
     degree = _parse_int(value, what)
+    if degree < 0:
+        raise ParseError(f"bad {what} {degree!r}")
     if degree > MAX_DEGREE:
         raise ParseError(f"{what} {degree} exceeds the limit {MAX_DEGREE}")
     return degree
@@ -93,11 +95,7 @@ def hompoly_to_json(h: HomPoly) -> dict:
 def parse_hompoly(data) -> HomPoly:
     if not isinstance(data, dict) or "degree" not in data or "terms" not in data:
         raise ParseError("polynomial needs 'degree' and 'terms'")
-    degree = data["degree"]
-    if not _is_int(degree) or degree < 0:
-        raise ParseError(f"bad degree {degree!r}")
-    if degree > MAX_DEGREE:
-        raise ParseError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+    degree = _parse_degree(data["degree"], "degree")
     if not isinstance(data["terms"], list):
         raise ParseError("'terms' must be a list")
     triples = []

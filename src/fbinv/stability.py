@@ -31,12 +31,16 @@ from .ideals import (
     groebner,
     solve_if_zero_dimensional,
 )
-from .linalg import RatMatrix, integer_rref
+from .linalg import RatMatrix, integer_rref, subset_minors
 from .miso import coefficient_matrix
-from .multipoly import MultiPoly, mp_det
+from .multipoly import MultiPoly
 from .poly import HomPoly
 from .polymatrix import HomPolyMatrix, determinant, generic_rank, maximal_minors
 from .sampling import random_invertible
+
+
+# random flags whose rank profiles GenericSubspace mode compares with the bounds
+FLAG_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -230,9 +234,8 @@ def _chart_minor_system(combination: MinorCombination, pivots, ambient):
     grid, variables, slots = chart_parameter_matrix(pivots, ambient)
     generators = []
     for C in combinations(range(len(pivots)), combination.size):
-        minors = [
-            mp_det([[grid[i][j] for j in J] for i in C], variables).terms for J in combination.subsets
-        ]
+        found = subset_minors([grid[i] for i in C], MultiPoly.constant(variables, 1))
+        minors = [found[J].terms if J in found else {} for J in combination.subsets]
         for row in combination.rows:
             terms: dict = {}
             for k, c in row:
@@ -354,7 +357,6 @@ def stability_check(
     mode: StabilityMode = StabilityMode.EXHAUSTIVE,
     seed: int = 0,
     budget: GroebnerBudget = DEFAULT_BUDGET,
-    flag_samples: int = 3,
 ) -> StabilityVerdict:
     """Certify the geometric criterion on the observable part's kernel matrix Q.
 
@@ -371,13 +373,13 @@ def stability_check(
     width = m + p
     bounds = [GradedBound.for_dimension(h, m, p) for h in range(1, width)]
     if mode == StabilityMode.GENERIC_SUBSPACE:
-        return _generic_subspace_check(Q, bounds, width, seed, flag_samples)
+        return _generic_subspace_check(Q, bounds, width, seed)
     return _exhaustive_check(Q, bounds, width, budget)
 
 
-def _generic_subspace_check(Q, bounds, width, seed, flag_samples) -> StabilityVerdict:
+def _generic_subspace_check(Q, bounds, width, seed) -> StabilityVerdict:
     rng = random.Random(seed)
-    flags = [random_invertible(rng, width, lo=-9, hi=9) for _ in range(max(1, flag_samples))]
+    flags = [random_invertible(rng, width, lo=-9, hi=9) for _ in range(FLAG_SAMPLES)]
     details = []
     witness = None
     failed = False
@@ -478,10 +480,13 @@ def _rank_combination(Q: HomPolyMatrix, r: int) -> MinorCombination:
     (r+1)-row subset R of Q; the columns are the (r+1)-column subsets J.
     """
     size = r + 1
+    one = HomPoly.constant(1)
+    minors = {R: subset_minors([Q.entries[i] for i in R], one) for R in combinations(range(Q.rows), size)}
     rows: dict[tuple, dict[tuple[int, ...], Fraction]] = {}
+    # J outer, R inner: the order of the rows fixes integer_rref's output exactly
     for J in combinations(range(Q.cols), size):
-        for R in combinations(range(Q.rows), size):
-            minor = determinant(Q.submatrix(R, J))
+        for R, found in minors.items():
+            minor = found.get(J, HomPoly.zero(0))
             for j, c in enumerate(minor.coeffs):
                 if c:
                     rows.setdefault((R, minor.degree - j, j), {})[J] = c

@@ -31,6 +31,7 @@ from fbinv.realization import MFD, StateSpace, to_hom_ar
 from fbinv.sampling import random_ar_system
 from fbinv.stability import (
     DegeneracyStatus,
+    MinorCombination,
     StabilityMode,
     StabilityStatus,
     chart_parameter_matrix,
@@ -510,3 +511,35 @@ def elimination_determinant(matrix: HomPolyMatrix) -> HomPoly:
     for (a, b), c in det.terms.items():
         out[b] = c
     return HomPoly(d, tuple(out))
+
+
+def per_subset_degeneracy_combination(ar: ARSystem) -> MinorCombination:
+    """`_degeneracy_combination` with each maximal minor of P eliminated on its own.
+
+    The rows come in the library's order, so `integer_rref` must return the
+    same integers, not just the same span.
+    """
+    width = ar.external_dim
+    base = ar.p * (ar.p - 1) // 2
+    rows: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for cols in combinations(range(width), ar.p):
+        pI = elimination_determinant(ar.P.submatrix(range(ar.p), cols))
+        J = tuple(c for c in range(width) if c not in cols)
+        sign = -1 if (sum(cols) - base) % 2 else 1
+        for a, c in enumerate(pI.coeffs):
+            if c:
+                rows.setdefault(a, {})[J] = sign * c
+    return MinorCombination.reduce(ar.m, rows.values())
+
+
+def per_subset_rank_combination(Q: HomPolyMatrix, r: int) -> MinorCombination:
+    """`_rank_combination` with each (r+1)-minor of Q eliminated on its own, in the library's row order."""
+    size = r + 1
+    rows: dict[tuple, dict[tuple[int, ...], Fraction]] = {}
+    for J in combinations(range(Q.cols), size):
+        for R in combinations(range(Q.rows), size):
+            minor = elimination_determinant(Q.submatrix(R, J))
+            for j, c in enumerate(minor.coeffs):
+                if c:
+                    rows.setdefault((R, minor.degree - j, j), {})[J] = c
+    return MinorCombination.reduce(size, rows.values())

@@ -243,8 +243,21 @@ _REFERENCE_AR = ar_to_json(reference_system())
         ),
         ("factorize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "row_degrees": ["x"]}),
         ("factorize", {"kind": "state_space", "A": [["1e99999999"]], "B": [["1"]], "C": [["1"]], "D": [["0"]]}),
+        ("nondegenerate", {**_REFERENCE_AR, "m": 3.9}),
+        ("nondegenerate", {**_REFERENCE_AR, "m": "3"}),
+        ("nondegenerate", {**_REFERENCE_AR, "row_degrees": [2.7, 2]}),
+        ("homogenize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "row_degrees": [-1]}),
     ],
-    ids=["ar-row-not-a-list", "terms-not-a-list", "mfd-degree-not-an-int", "exponent-rational"],
+    ids=[
+        "ar-row-not-a-list",
+        "terms-not-a-list",
+        "mfd-degree-not-an-int",
+        "exponent-rational",
+        "ar-m-float",
+        "ar-m-string",
+        "ar-row-degree-float",
+        "mfd-row-degree-negative",
+    ],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, doc):
     path = tmp_path / "malformed.json"
