@@ -151,8 +151,8 @@ def minimal_kernel_generators(
     M: HomPolyMatrix,
     row_degrees: Sequence[int],
     col_shifts: Sequence[int] | None = None,
-    max_degree: int = 0,
     *,
+    max_degree: int,
     expected: int,
 ) -> list[tuple[int, tuple[HomPoly, ...]]]:
     """Minimal homogeneous generators of {v : M v^T = 0}.

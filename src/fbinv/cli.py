@@ -21,6 +21,7 @@ from .pencil import PencilSystem, act_pencil, is_admissible, is_controllable, re
 from .realization import MFD, StateSpace, apply_extended_feedback, left_coprime_mfd, to_hom_ar
 from .reference import run_reference_checks
 from .serialize import (
+    MAX_DEGREE,
     dumps,
     grassmann_to_json,
     load_system,
@@ -162,6 +163,8 @@ def cmd_act(args):
 
 
 def cmd_embed(args):
+    if args.ell > MAX_DEGREE:
+        raise ParseError(f"--ell {args.ell} exceeds the limit {MAX_DEGREE}")
     ar = _expect(load_system(args.input), ARSystem, "ar")
     point = rho_embedding(ar, args.ell)
     report = grassmann_to_json(point, with_pluecker=not args.no_pluecker)
@@ -306,6 +309,12 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _env_seed()
         code, report, payload = _HANDLERS[args.command](args)
+        if args.output and payload is not None:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(dumps(payload) + "\n")
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.output}: {exc}") from None
     except FbinvError as exc:
         error_report = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
         if args.format == "json":
@@ -317,9 +326,6 @@ def main(argv=None) -> int:
         print(dumps(report))
     else:
         _render_text(report, sys.stdout)
-    if getattr(args, "output", None) and payload is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dumps(payload) + "\n")
     return code
 
 

@@ -214,14 +214,14 @@ def groebner(generators: Sequence[MultiPoly], budget: GroebnerBudget = DEFAULT_B
     return IdealVerdict(IdealStatus.HAS_COMPLEX_SOLUTION, basis_t)
 
 
-def is_zero_dimensional(basis: Sequence[MultiPoly], key: OrderKey = grevlex_key) -> bool:
-    """Finite solution set iff every variable appears as a pure leading power."""
+def is_zero_dimensional(basis: Sequence[MultiPoly]) -> bool:
+    """Finite solution set iff every variable appears as a pure leading power of the grevlex basis."""
     if not basis:
         return False
     nvars = len(basis[0].variables)
     covered = [False] * nvars
     for g in basis:
-        exps = g.leading(key)[0]
+        exps = g.leading(grevlex_key)[0]
         support = [i for i, e in enumerate(exps) if e]
         if len(support) == 1:
             covered[support[0]] = True

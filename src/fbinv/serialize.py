@@ -310,7 +310,7 @@ def load_system(path: str):
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and over-long ints
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     return parse_system(data)
 

@@ -1,19 +1,22 @@
 """Nondegeneracy and the geometric (semi)stability criterion.
 
 A system P is degenerate when some constant full-rank m x (m+p) matrix K
-makes det [P; K] vanish identically.  Stability is certified through the
-kernel matrix Q of P, which is the observable part's, as both have the same
-row space over k(s,t): the criterion asks that for a generic point of the
-projective line every h-dimensional subspace H maps to something of
-dimension > (m/(m+p)) h (>= for semistability).  Both questions
-reduce to solvability of polynomial systems over the complex numbers, decided
-exactly by Groebner bases over chart parametrizations; `GenericSubspace` mode
-instead reproduces the cheap random-flag rank profile, which can refute the
-criterion but never certify it.
+makes det [P; K] vanish identically.  The stability criterion asks that for a
+generic point of the projective line every h-dimensional subspace H maps
+under the kernel matrix Q of P to something of dimension > (m/(m+p)) h
+(>= for semistability).  The row space of P over k(s,t) is exactly the
+kernel of Q, so rank Q H^T = rank [P; H] - p, and both questions are rank
+conditions on P stacked over a constant subspace: one Laplace combination of
+the maximal minors of P builds the polynomial systems of both, whose
+solvability over the complex numbers is decided exactly by Groebner bases
+over chart parametrizations.  Q is computed only to check a stability
+witness, and for `GenericSubspace` mode, which reproduces the cheap
+random-flag rank profile: it can refute the criterion but never certify it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -245,10 +248,10 @@ def _chart_minor_system(combination: MinorCombination, pivots, ambient):
     return generators, slots
 
 
-def _chart_search(ambient, k, chart_system, accept, budget) -> Iterator[ChartReport]:
+def _chart_search(ambient, k, combination: MinorCombination, accept, budget) -> Iterator[ChartReport]:
     """Decide the reduced-echelon charts of Grass(k, ambient) in lexicographic order.
 
-    `chart_system(pivots)` returns the chart's generators and parameter slots.
+    Each chart's system is built from `combination` by `_chart_minor_system`.
     A solvable chart carries the rational point found on it, which `accept`
     must confirm by a route independent of the chart system.  An unsolvable
     chart's Nullstellensatz certificate, when the verdict has one, is checked
@@ -256,7 +259,7 @@ def _chart_search(ambient, k, chart_system, accept, budget) -> Iterator[ChartRep
     WitnessCheckFailed.
     """
     for pivots in combinations(range(ambient), k):
-        generators, slots = chart_system(pivots)
+        generators, slots = _chart_minor_system(combination, pivots, ambient)
         nonzero = [g for g in generators if not g.is_zero()]
         verdict = groebner(nonzero, budget)
         if verdict.certificate is not None and not is_unit_certificate(nonzero, verdict.certificate):
@@ -293,12 +296,11 @@ def is_nondegenerate(ar: ARSystem, budget: GroebnerBudget = DEFAULT_BUDGET) -> D
     """
     if ar.p == 1:
         return _miso_nondegenerate(ar)
-    combination = _degeneracy_combination(ar)
     reports = tuple(
         _chart_search(
             ar.external_dim,
             ar.m,
-            lambda pivots: _chart_minor_system(combination, pivots, ar.external_dim),
+            _stacked_combination(ar, ar.m),
             lambda K: _kills_stacked_determinant(ar, K),
             budget,
         )
@@ -330,22 +332,30 @@ def _miso_nondegenerate(ar: ARSystem) -> DegeneracyVerdict:
     return DegeneracyVerdict(DegeneracyStatus.DEGENERATE, witness, chart, ())
 
 
-def _degeneracy_combination(ar: ARSystem) -> MinorCombination:
-    """det [P; K] = sum_J M[a, J] det K[:, J], a indexing the coefficient of s^(n-a) t^a.
+def _stacked_combination(ar: ARSystem, size: int, minors: Sequence[HomPoly] | None = None) -> MinorCombination:
+    """minor_{J'}[P; H[C]] = sum_J M[(J', a), J] det H[C, J], a indexing the coefficient of s^(n-a) t^a.
 
-    Laplace expansion along the P-block pairs each maximal minor p_I of P with
-    the minor of K on the complementary columns J, signed (-1)^(sum I - p(p-1)/2).
+    The minors of [P; H] on all p rows of P, `size` rows C of H and a
+    (p + size)-column subset J'.  Laplace expansion along the P-block pairs
+    each maximal minor p_I of P, I a p-subset of J', with the minor of H on the
+    rest J of J', signed (-1)^(sum of I's positions in J' - p(p-1)/2).  With
+    size = m, J' is every column and the one minor is det [P; K].  `minors`
+    are P's maximal minors, when the caller already has them.
     """
-    width = ar.external_dim
-    base = ar.p * (ar.p - 1) // 2
-    rows: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for cols, pI in zip(combinations(range(width), ar.p), maximal_minors(ar.P, ar.p)):
-        J = tuple(c for c in range(width) if c not in cols)
-        sign = -1 if (sum(cols) - base) % 2 else 1
-        for a, c in enumerate(pI.coeffs):
-            if c:
-                rows.setdefault(a, {})[J] = sign * c
-    return MinorCombination.reduce(ar.m, rows.values())
+    width, p = ar.external_dim, ar.p
+    by_cols = dict(zip(combinations(range(width), p), minors or maximal_minors(ar.P, p)))
+    base = p * (p - 1) // 2
+    rows: dict[tuple, dict[tuple[int, ...], Fraction]] = {}
+    # J' outer, I inner: the order of the rows fixes integer_rref's output exactly
+    for outer in combinations(range(width), p + size):
+        for positions in combinations(range(p + size), p):
+            pI = by_cols[tuple(outer[i] for i in positions)]
+            J = tuple(c for i, c in enumerate(outer) if i not in positions)
+            sign = -1 if (sum(positions) - base) % 2 else 1
+            for a, c in enumerate(pI.coeffs):
+                if c:
+                    rows.setdefault((outer, a), {})[J] = sign * c
+    return MinorCombination.reduce(size, rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +368,24 @@ def stability_check(
     seed: int = 0,
     budget: GroebnerBudget = DEFAULT_BUDGET,
 ) -> StabilityVerdict:
-    """Certify the geometric criterion on the observable part's kernel matrix Q.
+    """Certify the geometric criterion on the ranks of Q H^T, Q the kernel matrix of P.
 
-    That Q is compute_Q(ar), one kernel computation: the right kernel depends
-    only on the row space of P over k(s,t), which the observable part shares.
-    Exhaustive mode decides, for every h and both bounds, whether some
-    subspace H has generic rank of Q H^T below the bound, by chart systems
-    over Grassmannians; it alone can certify stability.  GenericSubspace mode
-    reports the rank profile of random flags: a violated bound refutes the
-    criterion, but passing ranks are reported NotCertified.
+    The row space of P over k(s,t) is exactly the kernel of Q, so
+    rank Q H^T = rank [P; H] - p.  Exhaustive mode decides, for every h and
+    both bounds, whether some subspace H has rank [P; H] at most p + r, by
+    chart systems over Grassmannians built from the maximal minors of P; it
+    alone can certify stability, and computes Q = compute_Q(ar) only to check
+    a witness.  GenericSubspace mode reports the rank profile of random flags
+    on Q: a violated bound refutes the criterion, but passing ranks are
+    reported NotCertified.  Q is the observable part's too: the right kernel
+    depends only on the row space of P.
     """
-    Q = compute_Q(ar).Q
     m, p = ar.m, ar.p
     width = m + p
     bounds = [GradedBound.for_dimension(h, m, p) for h in range(1, width)]
     if mode == StabilityMode.GENERIC_SUBSPACE:
-        return _generic_subspace_check(Q, bounds, width, seed)
-    return _exhaustive_check(Q, bounds, width, budget)
+        return _generic_subspace_check(compute_Q(ar).Q, bounds, width, seed)
+    return _exhaustive_check(ar, bounds, budget)
 
 
 def _generic_subspace_check(Q, bounds, width, seed) -> StabilityVerdict:
@@ -402,23 +413,45 @@ def _generic_subspace_check(Q, bounds, width, seed) -> StabilityVerdict:
     return StabilityVerdict(status, StabilityMode.GENERIC_SUBSPACE, tuple(details), witness)
 
 
-def _exhaustive_check(Q, bounds, width, budget) -> StabilityVerdict:
+def _exhaustive_check(ar, bounds, budget) -> StabilityVerdict:
+    width = ar.external_dim
+    minors = maximal_minors(ar.P, ar.p)
+
+    # this call's state, shared across h: one combination per size, Q on first use
+    @functools.cache
+    def combination(size: int) -> MinorCombination:
+        return _stacked_combination(ar, size, minors)
+
+    @functools.cache
+    def kernel() -> HomPolyMatrix:
+        return compute_Q(ar).Q
+
+    def low_rank(h: int, r: int) -> tuple[bool | None, RatMatrix | None]:
+        """Is there an h-dimensional H with rank [P; H] at most p + r, that is rank Q H^T <= r?
+
+        A witness H must pass generic_rank(Q H^T) <= r.  Returns (exists,
+        witness or None); exists is None when undecided within budget.
+        """
+        exceeded = False
+        for report in _chart_search(
+            width, h, combination(r + 1), lambda H: generic_rank(kernel().mul_rat(H.transpose())) <= r, budget
+        ):
+            if report.status == IdealStatus.HAS_COMPLEX_SOLUTION:
+                return True, report.witness
+            exceeded = exceeded or report.status == IdealStatus.BUDGET_EXCEEDED
+        return (None if exceeded else False), None
+
     details = []
     witness = None
-    combinations_by_r: dict[int, MinorCombination] = {}  # this call's, shared across h
     for bound in bounds:
-        strict_low, strict_wit = _exists_low_rank_subspace(
-            Q, width, bound.h, bound.strict_bound - 1, combinations_by_r, budget
-        )
+        strict_low, strict_wit = low_rank(bound.h, bound.strict_bound - 1)
         if bound.weak_bound == bound.strict_bound:
             weak_low, weak_wit = strict_low, strict_wit
         elif strict_low is False:
             # nothing even below the strict bound, so nothing below the weak one
             weak_low, weak_wit = False, None
         else:
-            weak_low, weak_wit = _exists_low_rank_subspace(
-                Q, width, bound.h, bound.weak_bound - 1, combinations_by_r, budget
-            )
+            weak_low, weak_wit = low_rank(bound.h, bound.weak_bound - 1)
         strict_ok = None if strict_low is None else not strict_low
         weak_ok = None if weak_low is None else not weak_low
         achieved = bound.strict_bound if strict_ok else (bound.weak_bound if weak_ok else None)
@@ -437,57 +470,3 @@ def _exhaustive_check(Q, bounds, width, budget) -> StabilityVerdict:
         status = StabilityStatus.SEMISTABLE_CERTIFIED
     return StabilityVerdict(status, StabilityMode.EXHAUSTIVE, tuple(details), witness)
 
-
-def _exists_low_rank_subspace(
-    Q: HomPolyMatrix,
-    width: int,
-    h: int,
-    r: int,
-    combinations_by_r: dict[int, MinorCombination],
-    budget: GroebnerBudget,
-) -> tuple[bool | None, RatMatrix | None]:
-    """Is there an h-dimensional H with generic rank of Q H^T at most r?
-
-    Returns (exists, witness_or_None); exists is None when undecided within budget.
-    The (r+1)-minor combination of Q is built on first use and kept in
-    `combinations_by_r` for the other dimensions h of the same check.
-    """
-    if r < 0:
-        return False, None
-    if r >= min(Q.rows, h):
-        return True, None  # pragma: no cover - bounds keep r below this
-    if r not in combinations_by_r:
-        combinations_by_r[r] = _rank_combination(Q, r)
-    combination = combinations_by_r[r]
-    exceeded = False
-    for report in _chart_search(
-        width,
-        h,
-        lambda pivots: _chart_minor_system(combination, pivots, width),
-        lambda H: generic_rank(Q.mul_rat(H.transpose())) <= r,
-        budget,
-    ):
-        if report.status == IdealStatus.HAS_COMPLEX_SOLUTION:
-            return True, report.witness
-        exceeded = exceeded or report.status == IdealStatus.BUDGET_EXCEEDED
-    return (None if exceeded else False), None
-
-
-def _rank_combination(Q: HomPolyMatrix, r: int) -> MinorCombination:
-    """minor_{R,C}(Q H^T) = sum_J det Q[R,J](s,t) det H[C,J], by Cauchy-Binet.
-
-    Each row of the matrix is one (s,t)-coefficient of the minors on one
-    (r+1)-row subset R of Q; the columns are the (r+1)-column subsets J.
-    """
-    size = r + 1
-    one = HomPoly.constant(1)
-    minors = {R: subset_minors([Q.entries[i] for i in R], one) for R in combinations(range(Q.rows), size)}
-    rows: dict[tuple, dict[tuple[int, ...], Fraction]] = {}
-    # J outer, R inner: the order of the rows fixes integer_rref's output exactly
-    for J in combinations(range(Q.cols), size):
-        for R, found in minors.items():
-            minor = found.get(J, HomPoly.zero(0))
-            for j, c in enumerate(minor.coeffs):
-                if c:
-                    rows.setdefault((R, minor.degree - j, j), {})[J] = c
-    return MinorCombination.reduce(size, rows.values())

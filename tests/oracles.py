@@ -514,7 +514,7 @@ def elimination_determinant(matrix: HomPolyMatrix) -> HomPoly:
 
 
 def per_subset_degeneracy_combination(ar: ARSystem) -> MinorCombination:
-    """`_degeneracy_combination` with each maximal minor of P eliminated on its own.
+    """`_stacked_combination(ar, ar.m)` with each maximal minor of P eliminated on its own.
 
     The rows come in the library's order, so `integer_rref` must return the
     same integers, not just the same span.
@@ -533,7 +533,12 @@ def per_subset_degeneracy_combination(ar: ARSystem) -> MinorCombination:
 
 
 def per_subset_rank_combination(Q: HomPolyMatrix, r: int) -> MinorCombination:
-    """`_rank_combination` with each (r+1)-minor of Q eliminated on its own, in the library's row order."""
+    """minor_{R,C}(Q H^T) = sum_J det Q[R,J](s,t) det H[C,J], by Cauchy-Binet.
+
+    One row per (s,t)-coefficient of the minors on one (r+1)-row subset R of
+    Q, each minor eliminated on its own.  By rank Q H^T = rank [P; H] - p,
+    its rref is that of `_stacked_combination(ar, r + 1)`.
+    """
     size = r + 1
     rows: dict[tuple, dict[tuple[int, ...], Fraction]] = {}
     for J in combinations(range(Q.cols), size):

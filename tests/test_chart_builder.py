@@ -1,10 +1,12 @@
 """The Cauchy-Binet chart builder against the direct builders in `oracles`.
 
 The library builds each chart system from a row-reduced constant matrix times
-the chart's minors.  The direct builders form the products and minors over
-the chart parameters themselves; both must give the same ideal on every
-chart, and the builder's rows must encode the same linear functionals as the
-minors of Q(s,t) H^T and the coefficients of det [P; K].
+the chart's minors, the matrix read off the maximal minors of P by Laplace
+expansion of [P; H].  The direct builders form the products and minors over
+the chart parameters themselves, the rank ones on the kernel matrix Q; both
+must give the same ideal on every chart, and the builder's rows must encode
+the same linear functionals as the minors of Q(s,t) H^T and the coefficients
+of det [P; K].
 """
 
 import random
@@ -16,9 +18,9 @@ from fbinv.ideals import groebner
 from fbinv.linalg import RatMatrix
 from fbinv.multipoly import MultiPoly
 from fbinv.poly import HomPoly
-from fbinv.polymatrix import HomPolyMatrix, determinant
+from fbinv.polymatrix import HomPolyMatrix, determinant, generic_rank
 from fbinv.sampling import random_ar_system, random_rat_matrix
-from fbinv.stability import GradedBound, stacked_determinant
+from fbinv.stability import GradedBound, stability_check, stacked_determinant
 from oracles import direct_degeneracy_chart_system, direct_rank_chart_system
 
 # (p, m, row degrees): balanced n >= mp sizes, and the n < mp composition of
@@ -53,7 +55,7 @@ def _assert_same_system(new: list[MultiPoly], old: list[MultiPoly], where):
 
 def test_degeneracy_builder_matches_direct_builder():
     for ar in _systems():
-        combination = stability._degeneracy_combination(ar)
+        combination = stability._stacked_combination(ar, ar.m)
         for pivots in combinations(range(ar.external_dim), ar.m):
             new, _ = stability._chart_minor_system(combination, pivots, ar.external_dim)
             old = direct_degeneracy_chart_system(ar, pivots)
@@ -69,7 +71,7 @@ def test_rank_builder_matches_direct_builder():
             for r in sorted({bound.strict_bound - 1, bound.weak_bound - 1}):
                 if not 0 <= r < min(Q.rows, h):
                     continue
-                combination = stability._rank_combination(Q, r)
+                combination = stability._stacked_combination(ar, r + 1)
                 for pivots in combinations(range(width), h):
                     new, _ = stability._chart_minor_system(combination, pivots, width)
                     old = direct_rank_chart_system(Q, pivots, width, h, r)
@@ -121,7 +123,7 @@ def test_rank_combination_rows_span_the_minor_coefficients():
         width = ar.external_dim
         for r in range(min(Q.rows, width - 1)):
             size = r + 1
-            combination = stability._rank_combination(Q, r)
+            combination = stability._stacked_combination(ar, size)
             builder, direct = [], []
             for _ in range(8):
                 H = random_rat_matrix(rng, width - 1, width, -4, 4)
@@ -143,7 +145,7 @@ def test_degeneracy_combination_rows_span_the_stacked_determinant():
     rng = random.Random(13)
     for ar in _systems():
         width = ar.external_dim
-        combination = stability._degeneracy_combination(ar)
+        combination = stability._stacked_combination(ar, ar.m)
         builder, direct = [], []
         for _ in range(24):
             K = random_rat_matrix(rng, ar.m, width, -4, 4)
@@ -151,3 +153,25 @@ def test_degeneracy_combination_rows_span_the_stacked_determinant():
             builder.append(_evaluate(combination, minors))
             direct.append(list(stacked_determinant(ar.P, K).coeffs))
         assert _same_functionals(builder, direct), ar.P
+
+
+def test_rank_of_p_over_h_exceeds_the_rank_of_q_times_h_by_p():
+    """rank [P; H] = rank Q H^T + p: the identity the stacked combinations rest on.
+
+    H ranges over random subspaces of every dimension, with entries in [-1, 1]
+    so that some meet the row space of P, and over the low-rank witnesses of
+    exhaustive stability checks.
+    """
+    rng = random.Random(14)
+    lowered = 0
+    for ar in _systems():
+        Q = compute_Q(observable_part(ar)).Q
+        width = ar.external_dim
+        witness = stability_check(ar).witness
+        samples = [random_rat_matrix(rng, h, width, -1, 1) for h in range(1, width + 1) for _ in range(3)]
+        for H in samples + ([witness] if witness is not None else []):
+            stacked = [list(row) for row in ar.P.entries] + [[HomPoly.constant(x) for x in row] for row in H.entries]
+            rank_q = generic_rank(Q.mul_rat(H.transpose()))
+            assert generic_rank(HomPolyMatrix.from_rows(stacked)) - ar.p == rank_q, (ar.P, H)
+            lowered += rank_q < H.rank()
+    assert lowered > 0

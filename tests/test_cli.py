@@ -149,6 +149,22 @@ def test_embed_command(capsys, tmp_path):
     assert report["subspace_dim"] == 1
 
 
+def test_embed_twist_above_the_degree_limit_is_a_parse_error(capsys, reference_file):
+    # rho_embedding would build p(ell+1) rows of (m+p)(ell+1) entries
+    code, report = run(capsys, "embed", reference_file, "--ell", str(MAX_DEGREE + 1))
+    assert code == 2
+    assert report["error"] == "ParseError"
+
+
+def test_failed_output_write_is_a_parse_error_without_a_success_report(capsys, tmp_path):
+    ss = tmp_path / "ss.json"
+    ss.write_text(dumps(state_space_to_json(random_state_space(random.Random(0), 2, 1, 1))))
+    code, report = run(capsys, "factorize", str(ss), "-o", str(tmp_path / "missing" / "out.json"))
+    assert code == 2
+    assert report["error"] == "ParseError"
+    assert report["message"].startswith("cannot write ")
+
+
 def test_pencil_commands(capsys, tmp_path):
     doc = {
         "kind": "pencil",
@@ -247,6 +263,9 @@ _REFERENCE_AR = ar_to_json(reference_system())
         ("nondegenerate", {**_REFERENCE_AR, "m": "3"}),
         ("nondegenerate", {**_REFERENCE_AR, "row_degrees": [2.7, 2]}),
         ("homogenize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "row_degrees": [-1]}),
+        # raw JSON text: past Python's int-string limit, and nested past the recursion limit
+        ("nondegenerate", json.dumps({**_REFERENCE_AR, "m": 0}).replace('"m": 0', '"m": ' + "1" * 5001)),
+        ("kernel", "[" * 100000 + "]" * 100000),
     ],
     ids=[
         "ar-row-not-a-list",
@@ -257,11 +276,13 @@ _REFERENCE_AR = ar_to_json(reference_system())
         "ar-m-string",
         "ar-row-degree-float",
         "mfd-row-degree-negative",
+        "int-over-digit-limit",
+        "array-nested-too-deep",
     ],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, doc):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, report = run(capsys, command, str(path))
     assert code == 2
     assert report["error"] == "ParseError"

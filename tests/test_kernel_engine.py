@@ -1,9 +1,11 @@
-"""The kernel engine: one call per stability decision, and agreement with the reduction route.
+"""The kernel engine: when stability decisions call it, and agreement with the reduction route.
 
-`stability_check` works on `compute_Q(ar)`; these tests pin that it equals the
-kernel matrix of the observable part on non-observable systems, and that the
-generators read off the kernel's rref match the older route that reduced every
-kernel vector against the span of lower generators (`oracles.reduction_kernel_generators`).
+`stability_check` checks witnesses and samples flags on `compute_Q(ar)`; these
+tests pin that it equals the kernel matrix of the observable part on
+non-observable systems, that exhaustive certification never calls the engine,
+and that the generators read off the kernel's rref match the older route that
+reduced every kernel vector against the span of lower generators
+(`oracles.reduction_kernel_generators`).
 """
 
 import random
@@ -16,7 +18,7 @@ from fbinv.pencil import from_state_space, to_ar
 from fbinv.realization import left_coprime_mfd
 from fbinv.reference import reference_system
 from fbinv.sampling import random_ar_system, random_state_space
-from fbinv.stability import StabilityMode, stability_check
+from fbinv.stability import StabilityMode, StabilityStatus, stability_check
 from oracles import reduction_kernel_generators
 
 SIZES = ((1, 2, 3), (2, 2, 4), (2, 3, 4))  # (m, p, n)
@@ -73,6 +75,12 @@ def test_echelon_generators_match_the_reduction_route(engine_calls):
 
 @pytest.mark.parametrize("mode", list(StabilityMode))
 def test_stability_check_runs_the_kernel_engine_once(monkeypatch, mode):
+    """At most one kernel computation per check.
+
+    GenericSubspace mode samples flags on Q, so it computes Q exactly once.
+    Exhaustive mode reads ranks off [P; H] and computes Q only to check a
+    witness, once however many witnesses it checks.
+    """
     calls = []
     engine = arsys.minimal_kernel_generators
 
@@ -85,5 +93,18 @@ def test_stability_check_runs_the_kernel_engine_once(monkeypatch, mode):
     assert any(not is_observable(ar) for ar in systems)
     for ar in systems:
         calls.clear()
-        stability_check(ar, mode)
-        assert len(calls) == 1
+        verdict = stability_check(ar, mode)
+        if mode == StabilityMode.GENERIC_SUBSPACE:
+            assert len(calls) == 1
+        else:
+            assert len(calls) == (0 if verdict.witness is None else 1)
+    if mode == StabilityMode.GENERIC_SUBSPACE:
+        return
+    calls.clear()
+    assert stability_check(reference_system(), mode).status == StabilityStatus.STABLE_CERTIFIED
+    assert calls == []
+    # fails at h = 1 and h = 2, so several witnesses are checked against one Q
+    failing = random_ar_system(random.Random(0), 2, 2, 3, row_degrees=(0, 3))
+    verdict = stability_check(failing, mode)
+    assert verdict.status == StabilityStatus.CRITERION_FAILS and verdict.witness is not None
+    assert len(calls) == 1

@@ -18,9 +18,9 @@ from fbinv.sampling import random_ar_system, random_invertible, random_rat_matri
 from fbinv.stability import (
     DegeneracyStatus,
     GradedBound,
+    MinorCombination,
     StabilityMode,
     StabilityStatus,
-    chart_parameter_matrix,
     is_nondegenerate,
     is_unit_certificate,
     stability_check,
@@ -205,10 +205,8 @@ def test_chart_search_raises_on_a_changed_certificate(monkeypatch):
 
 
 def test_chart_search_raises_on_a_rejected_witness():
-    # no generators: every chart is solvable, at the chart's origin
-    search = stability._chart_search(
-        2, 1, lambda pivots: ([], chart_parameter_matrix(pivots, 2)[2]), lambda witness: False, DEFAULT_BUDGET
-    )
+    # no rows, so no generators: every chart is solvable, at the chart's origin
+    search = stability._chart_search(2, 1, MinorCombination(1, (), ()), lambda witness: False, DEFAULT_BUDGET)
     with pytest.raises(WitnessCheckFailed):
         next(search)
 

@@ -1,16 +1,17 @@
 """The one column-subset expansion against determinants taken subset by subset.
 
 `linalg.subset_minors` returns every nonzero k x k minor of a k x N grid from
-one shared expansion; `maximal_minors` and both chart builders read their
+one shared expansion; `maximal_minors` and the chart builder read their
 minors from it.  The references below eliminate each square sub-grid on its
 own, by fraction-free elimination, and never call the routine under test.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from fbinv import stability
-from fbinv.arsys import compute_Q
+from fbinv.arsys import compute_Q, is_observable
 from fbinv.linalg import RatMatrix, subset_minors
 from fbinv.multipoly import MultiPoly
 from fbinv.pencil import from_state_space
@@ -155,9 +156,30 @@ def test_maximal_minors_match_per_subset_elimination_with_zero_labels():
     assert any((k, d) in zero_labels and (k, d + 1) in zero_labels for k, d in zero_labels)
 
 
+def _non_observable_systems():
+    rng = random.Random(15)
+    found = []
+    while len(found) < 4:
+        ar = random_ar_system(rng, 2, 2, 4, lo=-1, hi=1)
+        if not is_observable(ar):
+            found.append(ar)
+    return found
+
+
 def test_minor_combinations_match_per_subset_construction_as_integers():
-    for ar in _ar_systems():
-        assert stability._degeneracy_combination(ar) == per_subset_degeneracy_combination(ar), ar.P
+    for ar in list(_ar_systems()) + _non_observable_systems():
+        assert stability._stacked_combination(ar, ar.m) == per_subset_degeneracy_combination(ar), ar.P
+
+
+def _unit_pivot_rows(combination):
+    """The reduced rows keyed by column subset, each divided by its pivot: the rational rref."""
+    return [{combination.subsets[k]: Fraction(c, row[0][1]) for k, c in row} for row in combination.rows]
+
+
+def test_stacked_combinations_reduce_to_the_rank_combinations_of_q():
+    """rank [P; H] = rank Q H^T + p, so the two (r+1)-size combinations have one rref."""
+    for ar in list(_ar_systems()) + _non_observable_systems():
         Q = compute_Q(ar).Q
-        for r in range(min(Q.rows, Q.cols)):
-            assert stability._rank_combination(Q, r) == per_subset_rank_combination(Q, r), (ar.P, r)
+        for r in range(ar.m):
+            stacked = stability._stacked_combination(ar, r + 1)
+            assert _unit_pivot_rows(stacked) == _unit_pivot_rows(per_subset_rank_combination(Q, r)), (ar.P, r)
