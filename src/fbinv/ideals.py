@@ -4,9 +4,11 @@ The only question the rest of the package ever asks is "does this polynomial
 system have a common complex zero?", which by the Nullstellensatz is "is the
 reduced Groebner basis {1}?".  Most systems asked about have a constant in
 the linear span of their generators, so a row reduction over the monomials
-runs first and answers those with constant cofactors a caller can check.  A
-budget (S-pairs processed, total degree) turns runaway computations into an
-explicit BudgetExceeded verdict instead of a wrong answer.
+runs first and answers those with constant cofactors a caller can check.
+Buchberger keeps primitive integer polynomials and reduces fraction-free; only
+the reduced basis it returns is monic over the rationals.  A budget (S-pairs
+processed, total degree) turns runaway computations into an explicit
+BudgetExceeded verdict instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
-from .linalg import ONE, integer_rref
+from .linalg import integer_rref
 from .multipoly import (
     MultiPoly,
     OrderKey,
@@ -67,19 +70,24 @@ class IdealVerdict:
 
 
 def _s_polynomial(f: MultiPoly, g: MultiPoly, key: OrderKey) -> MultiPoly:
+    """a*x^u*f - b*x^v*g for integer f and g, with coprime a, b cancelling the leading terms."""
     fe, fc = f.leading(key)
     ge, gc = g.leading(key)
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    return f.mul_term(tuple(l - a for l, a in zip(lcm, fe)), ONE / fc) - g.mul_term(
-        tuple(l - a for l, a in zip(lcm, ge)), ONE / gc
-    )
+    lcm = tuple(map(max, fe, ge))
+    d = math.gcd(fc.numerator, gc.numerator)
+    return f.mul_term(tuple(map(sub, lcm, fe)), gc / d) - g.mul_term(tuple(map(sub, lcm, ge)), fc / d)
 
 
 def _buchberger(
     generators: Sequence[MultiPoly], budget: GroebnerBudget, key: OrderKey
 ) -> tuple[list[MultiPoly], bool]:
-    """Return (basis, exceeded).  The basis is reduced when not exceeded."""
-    basis = [g.monic(key) for g in generators if not g.is_zero()]
+    """Return (basis, exceeded).  The basis is reduced when not exceeded.
+
+    The basis is kept as primitive integer polynomials, which are nonzero
+    multiples of the monic ones and so have the same leading monomials,
+    pairs and criteria; only `_reduce_basis` makes it monic.
+    """
+    basis = [g.primitive() for g in generators if not g.is_zero()]
     if not basis:
         return [], False
     variables = basis[0].variables
@@ -88,7 +96,7 @@ def _buchberger(
     heap: list[tuple[tuple, int, int]] = []
 
     def lcm_of(i: int, j: int):
-        return tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+        return tuple(map(max, leads[i], leads[j]))
 
     def push(i: int, j: int):
         lcm = lcm_of(i, j)
@@ -108,26 +116,23 @@ def _buchberger(
         pairs_processed += 1
         lcm = lcm_of(i, j)
         # product criterion: coprime leading monomials reduce to zero
-        if all(min(a, b) == 0 for a, b in zip(leads[i], leads[j])):
+        if not any(map(min, leads[i], leads[j])):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not divides(leads[k], lcm):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 in done and p2 in done:
-                skip = True
-                break
-        if skip:
+        if any(
+            k not in (i, j)
+            and divides(leads[k], lcm)
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        ):
             continue
         rem = normal_form(_s_polynomial(basis[i], basis[j], key), basis, key)
         if rem.is_zero():
             continue
         if rem.total_degree() > budget.max_degree:
             return basis, True
-        rem = rem.monic(key)
+        rem = rem.primitive()
         basis.append(rem)
         leads.append(rem.leading(key)[0])
         new_index = len(basis) - 1
@@ -139,6 +144,7 @@ def _buchberger(
 
 
 def _reduce_basis(basis: list[MultiPoly], key: OrderKey) -> list[MultiPoly]:
+    """The monic reduced basis of a Groebner basis of primitive integer polynomials."""
     # drop members whose leading term another member's leading term divides
     kept: list[MultiPoly] = []
     leads = [g.leading(key)[0] for g in basis]
@@ -153,7 +159,9 @@ def _reduce_basis(basis: list[MultiPoly], key: OrderKey) -> list[MultiPoly]:
     # against the other members gives the reduced basis
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        kept[i] = (normal_form(g, others, key) if others else g).monic(key)
+        if others:
+            kept[i] = normal_form(g, others, key).primitive()
+    kept = [g.monic(key) for g in kept]
     kept.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
     return kept
 
@@ -335,9 +343,7 @@ def solve_if_zero_dimensional(basis: Sequence[MultiPoly]) -> list[tuple[Fraction
     nvars = len(variables)
     if nvars == 0:
         return [()]
-    if any(g.is_constant() for g in polys):
-        return None
-    if not is_zero_dimensional(polys):
+    if any(g.is_constant() for g in polys) or not is_zero_dimensional(polys):
         return None
     lex_basis, exceeded = _buchberger(polys, LEX_BUDGET, lex_key)
     if exceeded:
@@ -351,27 +357,18 @@ def solve_if_zero_dimensional(basis: Sequence[MultiPoly]) -> list[tuple[Fraction
 def _extend_point(gens, variables, assignment, var_index, points, limit):
     if len(points) >= limit:
         return
+    specialized = [h for h in (g.substitute(assignment) for g in gens) if not h.is_zero()]
     if var_index < 0:
-        if all(g.substitute(assignment).is_zero() for g in gens):
+        if not specialized:
             points.append(tuple(assignment[i] for i in range(len(variables))))
         return
-    specialized = [g.substitute(assignment) for g in gens]
-    specialized = [g for g in specialized if not g.is_zero()]
     if any(g.is_constant() for g in specialized):
         return
-    univ = None
-    for g in specialized:
-        support = {i for exps in g.terms for i, e in enumerate(exps) if e}
-        if support == {var_index}:
-            univ = g
-            break
+    univ = next((g for g in specialized if {i for e in g.terms for i, x in enumerate(e) if x} == {var_index}), None)
     if univ is None:
         return
-    deg = max(exps[var_index] for exps in univ.terms)
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [Fraction(0)] * (univ.total_degree() + 1)
     for exps, c in univ.terms.items():
-        coeffs[exps[var_index]] += c
+        coeffs[exps[var_index]] = c
     for root in rational_roots(coeffs):
-        new_assignment = dict(assignment)
-        new_assignment[var_index] = root
-        _extend_point(gens, variables, new_assignment, var_index - 1, points, limit)
+        _extend_point(gens, variables, {**assignment, var_index: root}, var_index - 1, points, limit)

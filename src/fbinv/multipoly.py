@@ -7,7 +7,9 @@ reductions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, le, neg, sub
 from typing import Callable, Mapping, Sequence
 
 from .errors import DegreeMismatch
@@ -19,7 +21,7 @@ OrderKey = Callable[[Exponents], tuple]
 
 def grevlex_key(exps: Exponents) -> tuple:
     """Sort key realizing graded reverse lexicographic order."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 def lex_key(exps: Exponents) -> tuple:
@@ -47,15 +49,8 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables)
-
-    @classmethod
     def constant(cls, variables: Sequence[str], value) -> "MultiPoly":
-        v = frac(value)
-        if v == 0:
-            return cls(variables)
-        return cls(variables, {tuple(0 for _ in variables): v})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, variables: Sequence[str], index: int) -> "MultiPoly":
@@ -93,11 +88,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            v = out.get(exps, ZERO) + c
-            if v == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = v
+            out[exps] = out.get(exps, ZERO) + c
         return MultiPoly(self.variables, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -111,27 +102,22 @@ class MultiPoly:
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, ZERO) + c1 * c2
-                if v == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, ZERO) + c1 * c2
         return MultiPoly(self.variables, out)
 
     def scale(self, c) -> "MultiPoly":
         c = frac(c)
-        if c == 0:
-            return MultiPoly(self.variables)
         return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
 
     def mul_term(self, exps: Exponents, coeff: Fraction) -> "MultiPoly":
-        if coeff == 0:
-            return MultiPoly(self.variables)
-        return MultiPoly(
-            self.variables,
-            {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
-        )
+        return MultiPoly(self.variables, {tuple(map(add, e, exps)): c * coeff for e, c in self.terms.items()})
+
+    def primitive(self) -> "MultiPoly":
+        """The integer multiple of self whose coefficients have gcd 1."""
+        ints, _ = _integer_terms(self.terms)
+        content = math.gcd(*ints.values())
+        return MultiPoly(self.variables, {e: v // content for e, v in ints.items()})
 
     def monic(self, key: OrderKey = grevlex_key) -> "MultiPoly":
         if self.is_zero():
@@ -143,29 +129,17 @@ class MultiPoly:
 
     def substitute(self, assignment: Mapping[int, Fraction]) -> "MultiPoly":
         """Plug rational values in for a subset of variables (by index)."""
-        out = MultiPoly(self.variables)
+        out: dict[Exponents, Fraction] = {}
         for exps, c in self.terms.items():
-            coeff = c
-            new_exps = list(exps)
             for i, val in assignment.items():
-                e = exps[i]
-                if e:
-                    coeff *= frac(val) ** e
-                new_exps[i] = 0
-            if coeff != 0:
-                out = out + MultiPoly(self.variables, {tuple(new_exps): coeff})
-        return out
+                c *= frac(val) ** exps[i]
+            e = tuple(0 if i in assignment else x for i, x in enumerate(exps))
+            out[e] = out.get(e, ZERO) + c
+        return MultiPoly(self.variables, out)
 
     def eval(self, point: Sequence) -> Fraction:
         vals = [frac(x) for x in point]
-        acc = ZERO
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            acc += term
-        return acc
+        return sum((c * math.prod(v**e for v, e in zip(vals, exps) if e) for exps, c in self.terms.items()), ZERO)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -186,26 +160,64 @@ class MultiPoly:
 
 
 def divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
+
+
+def _integer_terms(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
+    """(ints, den): ints = den * terms, den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly], key: OrderKey = grevlex_key) -> MultiPoly:
-    """Remainder of multivariate division of f by the list of divisors."""
-    rem = MultiPoly(f.variables)
-    p = f
-    heads = [(g.leading(key), g) for g in divisors if not g.is_zero()]
-    while not p.is_zero():
-        lt_exps, lt_c = p.leading(key)
-        for (g_exps, g_c), g in heads:
-            if divides(g_exps, lt_exps):
-                shift = tuple(a - b for a, b in zip(lt_exps, g_exps))
-                p = p - g.mul_term(shift, lt_c / g_c)
-                break
-        else:
-            mono = MultiPoly(f.variables, {lt_exps: lt_c})
-            rem = rem + mono
-            p = p - mono
-    return rem
+    """Remainder of multivariate division of f by the list of divisors.
+
+    Fraction-free: with f and the divisors scaled to integers, eliminating the
+    leading term c*x^w of p by g = g_c*x^v + ... is p := a*p - b*x^(w-v)*g,
+    a/b = g_c/c in lowest terms.  The remainder r collected so far is scaled
+    along with p, their common content is divided out after each scaling, and
+    r over the accumulated scale is the remainder of division over Q.
+    """
+    heads = []
+    for g in divisors:
+        if g.terms:
+            tail, _ = _integer_terms(g.terms)
+            lead = max(tail, key=key)
+            heads.append((lead, tail.pop(lead), tail))
+    p, den = _integer_terms(f.terms)
+    scale = Fraction(den)
+    order = {e: key(e) for e in p}  # the order key of every monomial met
+    rem: dict[Exponents, int] = {}
+    while p:
+        lead = max(p, key=order.__getitem__)
+        c = p.pop(lead)
+        head = next((h for h in heads if divides(h[0], lead)), None)
+        if head is None:
+            rem[lead] = c
+            continue
+        g_lead, g_c, tail = head
+        d = math.gcd(c, g_c) if g_c > 0 else -math.gcd(c, g_c)
+        a, b = g_c // d, c // d
+        if a != 1:
+            p = {e: v * a for e, v in p.items()}
+            rem = {e: v * a for e, v in rem.items()}
+        shift = tuple(map(sub, lead, g_lead))
+        for e, v in tail.items():
+            m = tuple(map(add, e, shift))
+            w = p.get(m, 0) - b * v
+            if w:
+                p[m] = w
+            else:
+                del p[m]
+            if m not in order:
+                order[m] = key(m)
+        if a != 1:
+            content = math.gcd(*p.values(), *rem.values()) or 1
+            if content > 1:
+                p = {e: v // content for e, v in p.items()}
+                rem = {e: v // content for e, v in rem.items()}
+            scale = scale * a / content
+    return MultiPoly(f.variables, {e: v / scale for e, v in rem.items()})
 
 
 def mp_det(grid: Sequence[Sequence[MultiPoly]], variables: Sequence[str]) -> MultiPoly:

@@ -154,25 +154,18 @@ def chart_parameter_matrix(
     """
     k = len(pivots)
     pivot_set = set(pivots)
-    slots = [
-        (i, j)
-        for i in range(k)
-        for j in range(ambient)
-        if j > pivots[i] and j not in pivot_set
-    ]
+    slots = [(i, j) for i in range(k) for j in range(ambient) if j > pivots[i] and j not in pivot_set]
     variables = tuple(f"x{i}_{j}" for i, j in slots)
     index = {slot: pos for pos, slot in enumerate(slots)}
-    grid: list[list[MultiPoly]] = []
-    for i in range(k):
-        row = []
-        for j in range(ambient):
-            if j == pivots[i]:
-                row.append(MultiPoly.constant(variables, 1))
-            elif (i, j) in index:
-                row.append(MultiPoly.variable(variables, index[(i, j)]))
-            else:
-                row.append(MultiPoly.zero(variables))
-        grid.append(row)
+    grid = [
+        [
+            MultiPoly.constant(variables, 1 if j == pivots[i] else 0)
+            if (i, j) not in index
+            else MultiPoly.variable(variables, index[(i, j)])
+            for j in range(ambient)
+        ]
+        for i in range(k)
+    ]
     return grid, variables, slots
 
 
@@ -276,11 +269,9 @@ def is_unit_certificate(generators: Sequence[MultiPoly], cofactors: Sequence[Fra
     """Does sum(cofactors[i] * generators[i]) equal 1?  Plain summation, no reduction."""
     if not generators or len(cofactors) != len(generators):
         return False
-    total = MultiPoly.zero(generators[0].variables)
-    for c, g in zip(cofactors, generators):
-        if c:
-            total = total + g.scale(c)
-    return total == MultiPoly.constant(generators[0].variables, 1)
+    variables = generators[0].variables
+    total = sum((g.scale(c) for c, g in zip(cofactors, generators) if c), MultiPoly(variables))
+    return total == MultiPoly.constant(variables, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 These recompute expected values by routes that share nothing with the library
 paths under test (adjugate identities, Kalman rank tests, brute-force spans,
-fraction-free elimination over polynomials).
+fraction-free elimination over polynomials, Buchberger over Fraction
+coefficients).
 """
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -109,7 +111,7 @@ def direct_degeneracy_chart_system(ar: ARSystem, pivots) -> list[MultiPoly]:
     grid, variables, _ = chart_parameter_matrix(pivots, ar.external_dim)
     width = ar.external_dim
     base = ar.p * (ar.p - 1) // 2
-    gens = [MultiPoly.zero(variables) for _ in range(ar.n + 1)]
+    gens = [MultiPoly(variables) for _ in range(ar.n + 1)]
     for cols, pI in zip(combinations(range(width), ar.p), maximal_minors(ar.P, ar.p)):
         if pI.is_zero():
             continue
@@ -135,7 +137,7 @@ def direct_rank_chart_system(Q: HomPolyMatrix, pivots, width: int, h: int, r: in
     for row_q in Q.entries:
         prow = []
         for i in range(h):
-            acc = MultiPoly.zero(full)
+            acc = MultiPoly(full)
             for k in range(width):
                 q = MultiPoly(full, {(0,) * nparams + (row_q[k].degree - j, j): c for j, c in enumerate(row_q[k].coeffs)})
                 x = MultiPoly(full, {e + (0, 0): c for e, c in grid[i][k].terms.items()})
@@ -548,3 +550,119 @@ def per_subset_rank_combination(Q: HomPolyMatrix, r: int) -> MinorCombination:
                 if c:
                     rows.setdefault((R, minor.degree - j, j), {})[J] = c
     return MinorCombination.reduce(size, rows.values())
+
+
+# The Buchberger engine over the rationals: monic basis members, S-polynomials
+# and division with Fraction coefficients throughout, as the library ran it
+# before its reductions went fraction-free.
+
+
+def fraction_normal_form(f: MultiPoly, divisors: Sequence[MultiPoly], key: OrderKey = grevlex_key) -> MultiPoly:
+    """Remainder of multivariate division of f by the list of divisors."""
+    rem = MultiPoly(f.variables)
+    p = f
+    heads = [(g.leading(key), g) for g in divisors if not g.is_zero()]
+    while not p.is_zero():
+        lt_exps, lt_c = p.leading(key)
+        for (g_exps, g_c), g in heads:
+            if divides(g_exps, lt_exps):
+                shift = tuple(a - b for a, b in zip(lt_exps, g_exps))
+                p = p - g.mul_term(shift, lt_c / g_c)
+                break
+        else:
+            mono = MultiPoly(f.variables, {lt_exps: lt_c})
+            rem = rem + mono
+            p = p - mono
+    return rem
+
+
+def fraction_s_polynomial(f: MultiPoly, g: MultiPoly, key: OrderKey) -> MultiPoly:
+    fe, fc = f.leading(key)
+    ge, gc = g.leading(key)
+    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
+    return f.mul_term(tuple(l - a for l, a in zip(lcm, fe)), 1 / fc) - g.mul_term(
+        tuple(l - a for l, a in zip(lcm, ge)), 1 / gc
+    )
+
+
+def fraction_buchberger(
+    generators: Sequence[MultiPoly], budget: GroebnerBudget, key: OrderKey
+) -> tuple[list[MultiPoly], bool]:
+    """Return (basis, exceeded).  The basis is reduced when not exceeded."""
+    basis = [g.monic(key) for g in generators if not g.is_zero()]
+    if not basis:
+        return [], False
+    variables = basis[0].variables
+
+    leads = [g.leading(key)[0] for g in basis]
+    heap: list[tuple[tuple, int, int]] = []
+
+    def lcm_of(i: int, j: int):
+        return tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+
+    def push(i: int, j: int):
+        lcm = lcm_of(i, j)
+        heapq.heappush(heap, ((sum(lcm), key(lcm)), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            push(i, j)
+
+    done: set[tuple[int, int]] = set()
+    pairs_processed = 0
+    while heap:
+        if pairs_processed >= budget.max_pairs:
+            return basis, True
+        _, i, j = heapq.heappop(heap)
+        done.add((i, j))
+        pairs_processed += 1
+        lcm = lcm_of(i, j)
+        # product criterion: coprime leading monomials reduce to zero
+        if all(min(a, b) == 0 for a, b in zip(leads[i], leads[j])):
+            continue
+        # chain criterion
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not divides(leads[k], lcm):
+                continue
+            p1 = (min(i, k), max(i, k))
+            p2 = (min(j, k), max(j, k))
+            if p1 in done and p2 in done:
+                skip = True
+                break
+        if skip:
+            continue
+        rem = fraction_normal_form(fraction_s_polynomial(basis[i], basis[j], key), basis, key)
+        if rem.is_zero():
+            continue
+        if rem.total_degree() > budget.max_degree:
+            return basis, True
+        rem = rem.monic(key)
+        basis.append(rem)
+        leads.append(rem.leading(key)[0])
+        new_index = len(basis) - 1
+        for k in range(new_index):
+            push(k, new_index)
+        if rem.is_constant():
+            return [MultiPoly.constant(variables, 1)], False
+    return fraction_reduce_basis(basis, key), False
+
+
+def fraction_reduce_basis(basis: list[MultiPoly], key: OrderKey) -> list[MultiPoly]:
+    # drop members whose leading term another member's leading term divides
+    kept: list[MultiPoly] = []
+    leads = [g.leading(key)[0] for g in basis]
+    for i, g in enumerate(basis):
+        if any(
+            j != i and divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+            for j in range(len(basis))
+        ):
+            continue
+        kept.append(g)
+    # no leading term of `kept` divides another, so one pass of tail reduction
+    # against the other members gives the reduced basis
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        kept[i] = (fraction_normal_form(g, others, key) if others else g).monic(key)
+    kept.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
+    return kept

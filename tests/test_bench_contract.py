@@ -9,6 +9,7 @@ sources as syntax trees, so they neither import nor change them.
 import ast
 import importlib
 import pathlib
+import random
 
 import pytest
 
@@ -55,3 +56,30 @@ def test_benchmark_imports_from_fbinv_resolve():
         loaded = importlib.import_module(module)
         if name is not None:
             assert hasattr(loaded, name), f"{module}.{name}"
+
+
+def test_normal_form_span_sees_buchberger_reductions(monkeypatch):
+    """The `multipoly.normal_form` span counts the reductions inside Buchberger.
+
+    The tracer rebinds `normal_form` in every fbinv module that holds it, so
+    `ideals` must look the name up at call time; it reads `numerator` and
+    `denominator` off every coefficient of each remainder.
+    """
+    from fbinv import ideals, multipoly, stability
+    from fbinv.sampling import random_ar_system
+
+    assert ideals.normal_form is multipoly.normal_form
+    remainders = []
+
+    def counted(*args, **kwargs):
+        remainders.append(multipoly.normal_form(*args, **kwargs))
+        return remainders[-1]
+
+    monkeypatch.setattr(ideals, "normal_form", counted)
+    ar = random_ar_system(random.Random(0), 3, 2, 4, row_degrees=[1, 3])
+    stability.is_nondegenerate(ar)
+    assert remainders
+    coefficients = [c for rem in remainders for c in rem.terms.values()]
+    assert coefficients
+    for c in coefficients:
+        assert isinstance(c.numerator, int) and isinstance(c.denominator, int) and c.denominator > 0

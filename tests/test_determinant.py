@@ -25,7 +25,7 @@ def random_grid(rng, n, variables):
     grid = [[random_multipoly(rng, variables) for _ in range(n)] for _ in range(n)]
     shape = rng.choice(["plain", "zero_row", "repeated_row"]) if n >= 2 else "plain"
     if shape == "zero_row":
-        grid[rng.randrange(n)] = [MultiPoly.zero(variables) for _ in range(n)]
+        grid[rng.randrange(n)] = [MultiPoly(variables) for _ in range(n)]
     elif shape == "repeated_row":
         i, j = rng.sample(range(n), 2)
         grid[j] = list(grid[i])

@@ -6,18 +6,20 @@ import pytest
 from fbinv import stability
 from fbinv.ideals import (
     DEFAULT_BUDGET,
+    LEX_BUDGET,
     GroebnerBudget,
     IdealStatus,
     _buchberger,
     _linear_step,
     groebner,
+    is_zero_dimensional,
     rational_roots,
     solve_if_zero_dimensional,
 )
 from fbinv.linalg import RatMatrix
-from fbinv.multipoly import MultiPoly, grevlex_key, normal_form
+from fbinv.multipoly import MultiPoly, grevlex_key, lex_key, normal_form
 from fbinv.sampling import random_ar_system
-from oracles import trial_division_rational_roots
+from oracles import fraction_buchberger, fraction_normal_form, trial_division_rational_roots
 
 
 def poly(variables, terms):
@@ -46,7 +48,7 @@ def test_common_factor():
 
 def test_zero_ideal_is_solvable():
     assert groebner([]).status == IdealStatus.HAS_COMPLEX_SOLUTION
-    assert groebner([MultiPoly.zero(("x", "y"))]).status == IdealStatus.HAS_COMPLEX_SOLUTION
+    assert groebner([MultiPoly(("x", "y"))]).status == IdealStatus.HAS_COMPLEX_SOLUTION
 
 
 def test_budget_exceeded_is_a_verdict():
@@ -147,7 +149,7 @@ def test_linear_step_matches_dense_rref():
     assert unit > 10
 
 
-def recorded_chart_systems(seed, p, m, n):
+def recorded_chart_systems(seed, p, m, n, row_degrees=None):
     """The generator lists that both decisions hand to groebner on one seeded system."""
     systems = []
 
@@ -155,7 +157,7 @@ def recorded_chart_systems(seed, p, m, n):
         systems.append(list(generators))
         return groebner(generators, budget)
 
-    ar = random_ar_system(random.Random(seed), m, p, n)
+    ar = random_ar_system(random.Random(seed), m, p, n, row_degrees=row_degrees)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stability, "groebner", record)
         stability.is_nondegenerate(ar)
@@ -169,7 +171,7 @@ def test_groebner_agrees_with_plain_buchberger_on_chart_systems(p, m, n):
     for seed in range(2):
         for gens in recorded_chart_systems(seed, p, m, n):
             verdict = groebner(gens)
-            basis, exceeded = _buchberger(gens, DEFAULT_BUDGET, grevlex_key)
+            basis, exceeded = fraction_buchberger(gens, DEFAULT_BUDGET, grevlex_key)
             assert not exceeded
             assert verdict.basis == tuple(basis)
             unit = len(basis) == 1 and basis[0].is_constant()
@@ -178,6 +180,94 @@ def test_groebner_agrees_with_plain_buchberger_on_chart_systems(p, m, n):
                 certified += 1
                 assert unit and stability.is_unit_certificate(gens, verdict.certificate)
     assert certified > 0
+
+
+def assert_same_buchberger(gens, budget, key):
+    """The fraction-free engine and the Fraction oracle agree on exceeded and on the reduced basis."""
+    basis, exceeded = _buchberger(gens, budget, key)
+    expected, expected_exceeded = fraction_buchberger(gens, budget, key)
+    assert exceeded == expected_exceeded
+    if not exceeded:
+        assert basis == expected
+    return exceeded
+
+
+# (p, m, row degrees): balanced n >= mp charts that end in {1}, and n < mp
+# charts with solutions
+CHART_SPECS = [(2, 2, (2, 2)), (3, 2, (2, 2, 2)), (4, 2, (2, 2, 2, 2)), (2, 3, (1, 3)), (3, 2, (1, 1, 3))]
+
+
+@pytest.mark.parametrize("p, m, degrees", CHART_SPECS)
+def test_buchberger_agrees_with_fraction_oracle_on_chart_systems(p, m, degrees):
+    """The generators groebner hands to Buchberger, as the chart searches record them.
+
+    Budget outcomes agree at small pair budgets in grevlex and lex, reduced
+    bases agree in grevlex, and in lex wherever solve_if_zero_dimensional
+    would ask for one.
+    """
+    reached = 0
+    for gens in recorded_chart_systems(0, p, m, sum(degrees), list(degrees)):
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        rows, certificate = _linear_step(gens, gens[0].variables)
+        if certificate is not None:
+            continue
+        reached += 1
+        for max_pairs in (1, 3, 10):
+            budget = GroebnerBudget(max_pairs=max_pairs, max_degree=DEFAULT_BUDGET.max_degree)
+            for key in (grevlex_key, lex_key):
+                assert_same_buchberger(rows, budget, key)
+        assert not assert_same_buchberger(rows, DEFAULT_BUDGET, grevlex_key)
+        basis, _ = _buchberger(rows, DEFAULT_BUDGET, grevlex_key)
+        if not basis[0].is_constant() and is_zero_dimensional(basis):
+            assert_same_buchberger(basis, LEX_BUDGET, lex_key)
+    assert reached > 0
+
+
+def random_fraction_poly(rng, variables, max_terms=4):
+    """Non-monic, with fractional coefficients, of degree at most 3 in each variable."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, 3) for _ in variables)
+        terms[e] = terms.get(e, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return MultiPoly(variables, terms)
+
+
+def test_normal_form_is_the_exact_remainder():
+    """Fraction-free division returns the remainder division over the rationals gives."""
+    rng = random.Random(43)
+    xyz = ("x", "y", "z")
+    nonzero = 0
+    for _ in range(300):
+        f = random_fraction_poly(rng, xyz, 8)
+        divisors = [random_fraction_poly(rng, xyz) for _ in range(rng.randint(0, 4))]
+        for key in (grevlex_key, lex_key):
+            rem = normal_form(f, divisors, key)
+            assert rem == fraction_normal_form(f, divisors, key)
+            nonzero += not rem.is_zero()
+    assert nonzero > 100
+
+
+def test_buchberger_agrees_with_fraction_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+    polynomial = st.dictionaries(monomial, coefficient, min_size=1, max_size=4)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(polynomial, min_size=1, max_size=3), st.sampled_from([1, 3, 10, 40]))
+    def check(terms, max_pairs):
+        gens = [MultiPoly(("x", "y", "z"), t) for t in terms]
+        budget = GroebnerBudget(max_pairs=max_pairs, max_degree=8)
+        for key in (grevlex_key, lex_key):
+            assert_same_buchberger(gens, budget, key)
+        f = gens[0] * gens[-1] + gens[0]
+        for key in (grevlex_key, lex_key):
+            assert normal_form(f, gens[1:], key) == fraction_normal_form(f, gens[1:], key)
+
+    check()
 
 
 def test_unit_charts_against_sympy():

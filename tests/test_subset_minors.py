@@ -69,7 +69,7 @@ def test_multipoly_minors_match_bareiss():
         return MultiPoly(NAMES, terms)
 
     one = MultiPoly.constant(NAMES, 1)
-    for k, width, grid in _grids(rng, entry, MultiPoly.zero(NAMES)):
+    for k, width, grid in _grids(rng, entry, MultiPoly(NAMES)):
         found = subset_minors(grid, one)
         _assert_minors(found, k, width, lambda J: bareiss_det([[row[j] for j in J] for row in grid], NAMES), one)
 
