@@ -42,6 +42,9 @@ EXIT_NOT_CERTIFIED = 3
 
 
 def _budget(args) -> GroebnerBudget:
+    for flag, value in (("--budget", args.budget), ("--max-degree", args.max_degree)):
+        if value < 0:
+            raise ParseError(f"{flag} must be nonnegative, got {value}")
     return GroebnerBudget(max_pairs=args.budget, max_degree=args.max_degree)
 
 
@@ -59,25 +62,25 @@ def cmd_factorize(args):
     ss = _expect(load_system(args.input), StateSpace, "state_space")
     mfd = left_coprime_mfd(ss, strict=args.strict)
     report = system_to_json(mfd)
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_homogenize(args):
     mfd = _expect(load_system(args.input), MFD, "mfd")
     report = system_to_json(to_hom_ar(mfd))
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_kernel(args):
     ar = _expect(load_system(args.input), ARSystem, "ar")
     report = system_to_json(compute_Q(ar))
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_observable_part(args):
     ar = _expect(load_system(args.input), ARSystem, "ar")
     report = system_to_json(observable_part(ar))
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_nondegenerate(args):
@@ -98,7 +101,7 @@ def cmd_nondegenerate(args):
         ],
     }
     code = EXIT_NOT_CERTIFIED if verdict.status == DegeneracyStatus.NOT_CERTIFIED else EXIT_OK
-    return code, report, None
+    return code, report
 
 
 def cmd_stability(args):
@@ -124,7 +127,7 @@ def cmd_stability(args):
         "witness": matrix_to_json(verdict.witness) if verdict.witness is not None else None,
     }
     code = EXIT_NOT_CERTIFIED if verdict.status == StabilityStatus.NOT_CERTIFIED else EXIT_OK
-    return code, report, None
+    return code, report
 
 
 def cmd_miso_invariant(args):
@@ -132,7 +135,7 @@ def cmd_miso_invariant(args):
     point = miso_invariant(ar)
     report = grassmann_to_json(point)
     report["command"] = "miso-invariant"
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_equivalent(args):
@@ -140,7 +143,7 @@ def cmd_equivalent(args):
     ar2 = _expect(load_system(args.other), ARSystem, "ar")
     verdict = miso_equivalent(ar1, ar2)
     report = {"command": "equivalent", "equivalent": verdict}
-    return EXIT_OK, report, None
+    return EXIT_OK, report
 
 
 def cmd_act(args):
@@ -159,7 +162,7 @@ def cmd_act(args):
     else:
         raise ParseError("act applies to ar, mfd and pencil files")
     report = system_to_json(result)
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_embed(args):
@@ -170,7 +173,7 @@ def cmd_embed(args):
     report = grassmann_to_json(point, with_pluecker=not args.no_pluecker)
     report["command"] = "embed"
     report["ell"] = args.ell
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_pencil_check(args):
@@ -184,7 +187,7 @@ def cmd_pencil_check(args):
         "m": ps.m,
         "p": ps.p,
     }
-    return EXIT_OK, report, None
+    return EXIT_OK, report
 
 
 def cmd_pencil_to_ar(args):
@@ -196,14 +199,14 @@ def cmd_pencil_to_ar(args):
         order = "u_first"
     report = system_to_json(ar)
     report["variable_order"] = order
-    return EXIT_OK, report, report
+    return EXIT_OK, report
 
 
 def cmd_verify_example51(args):
-    report = run_reference_checks(seed=args.seed, budget=_budget(args), exhaustive=not args.generic_only)
+    report = run_reference_checks(seed=args.seed, budget=_budget(args))
     report["command"] = "verify-example51"
     code = EXIT_OK if report["pass"] else EXIT_NOT_CERTIFIED
-    return code, report, None
+    return code, report
 
 
 def _render_text(report, stream):
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)  # None: read FBINV_SEED in main
         p.add_argument("--budget", type=int, default=2000, help="Groebner S-pair budget")
         p.add_argument("--max-degree", type=int, default=60, help="Groebner total-degree budget")
-        p.add_argument("-o", "--output", help="also write the result payload to this path")
+        p.add_argument("-o", "--output", help="also write the JSON report to this path")
         return p
 
     common(sub.add_parser("factorize", help="state space -> left coprime matrix fraction")).add_argument(
@@ -273,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep (y; u) column order instead of bridging to (u; y)",
     )
-    v51 = common(sub.add_parser("verify-example51", help="run the bundled reference verification"), needs_input=False)
-    v51.add_argument("--generic-only", action="store_true", help="skip the exhaustive certification")
+    common(sub.add_parser("verify-example51", help="run the bundled reference verification"), needs_input=False)
     return parser
 
 
@@ -308,11 +310,11 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        code, report, payload = _HANDLERS[args.command](args)
-        if args.output and payload is not None:
+        code, report = _HANDLERS[args.command](args)
+        if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(dumps(payload) + "\n")
+                    fh.write(dumps(report) + "\n")
             except OSError as exc:
                 raise ParseError(f"cannot write {args.output}: {exc}") from None
     except FbinvError as exc:

@@ -1,8 +1,9 @@
 """Points of Grassmannians as canonical reduced-echelon bases.
 
 Two subspaces are equal iff their rref bases coincide, so equality is exact
-and needs no Pluecker comparison; the Pluecker vector is still available (and
-normalized so its first nonzero coordinate is 1) as the classical invariant.
+and needs no Pluecker comparison; the Pluecker vector is still available (its
+first nonzero coordinate is 1, the minor on the pivot columns) as the
+classical invariant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import ShapeMismatch
-from .linalg import ONE, RatMatrix
+from .linalg import RatMatrix
 
 PLUECKER_SIZE_CAP = 20_000
 
@@ -43,22 +44,19 @@ class GrassmannPoint:
 
     @cached_property
     def pluecker(self) -> tuple[Fraction, ...]:
-        """Maximal minors of the canonical basis over lexicographic column subsets."""
+        """Maximal minors of the canonical basis over lexicographic column subsets.
+
+        The first nonzero one is the minor on the pivot columns, which is 1.
+        """
         k = self.subspace_dim
         if comb(self.ambient_dim, k) > PLUECKER_SIZE_CAP:
             raise ShapeMismatch(
                 f"Pluecker vector of length C({self.ambient_dim},{k}) exceeds the size cap"
             )
-        coords = [
+        return tuple(
             self.canonical_basis.submatrix(range(k), cols).det()
             for cols in combinations(range(self.ambient_dim), k)
-        ]
-        for c in coords:
-            if c != 0:
-                if c != ONE:
-                    coords = [x / c for x in coords]
-                break
-        return tuple(coords)
+        )
 
     def __eq__(self, other) -> bool:
         return (

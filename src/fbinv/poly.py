@@ -74,13 +74,6 @@ class UniPoly:
             return UniPoly.zero()
         return UniPoly(tuple(c * x for x in self.coeffs))
 
-    def eval(self, s0) -> Fraction:
-        s0 = frac(s0)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * s0 + c
-        return acc
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

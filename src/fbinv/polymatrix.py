@@ -35,9 +35,6 @@ class HomPolyMatrix:
         ri, ci = tuple(row_idx), tuple(col_idx)
         return HomPolyMatrix(len(ri), len(ci), tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def mul_rat(self, mat: RatMatrix) -> "HomPolyMatrix":
         """Right-multiply by a constant rational matrix."""
         if self.cols != mat.rows:

@@ -144,9 +144,7 @@ def stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
 # Echelon charts
 
 
-def chart_parameter_matrix(
-    pivots: Sequence[int], ambient: int
-) -> tuple[list[list[MultiPoly]], tuple[str, ...], list[tuple[int, int]]]:
+def chart_parameter_matrix(pivots: Sequence[int], ambient: int) -> tuple[list[list[MultiPoly]], tuple[str, ...]]:
     """Rows of a reduced-echelon matrix with the given pivot columns.
 
     Entries are None (zero), 1-markers, or parameter positions; returned as a
@@ -166,35 +164,18 @@ def chart_parameter_matrix(
         ]
         for i in range(k)
     ]
-    return grid, variables, slots
+    return grid, variables
 
 
-def _chart_point_matrix(
-    pivots: Sequence[int], ambient: int, slots: Sequence[tuple[int, int]], values: Sequence[Fraction]
-) -> RatMatrix:
-    k = len(pivots)
-    grid = [[Fraction(0)] * ambient for _ in range(k)]
-    for i, pc in enumerate(pivots):
-        grid[i][pc] = Fraction(1)
-    for (i, j), v in zip(slots, values):
-        grid[i][j] = Fraction(v)
-    return RatMatrix.from_rows(grid)
-
-
-def _witness_from_chart(verdict_basis, generators, pivots, ambient, slots) -> RatMatrix | None:
-    """Try to extract a rational point of the chart system."""
-    nparams = len(slots)
-    if nparams == 0:
-        return _chart_point_matrix(pivots, ambient, slots, [])
-    zero = [Fraction(0)] * nparams
-    if all(g.eval(zero) == 0 for g in generators):
-        return _chart_point_matrix(pivots, ambient, slots, zero)
-    if verdict_basis is None:
-        return None
-    points = solve_if_zero_dimensional(verdict_basis)
-    if points:
-        return _chart_point_matrix(pivots, ambient, slots, points[0])
-    return None
+def _witness_from_chart(basis, generators, grid) -> RatMatrix | None:
+    """The chart grid at a rational point of the chart system: the origin, or the first point found."""
+    point = [0] * len(grid[0][0].variables)
+    if not all(g.eval(point) == 0 for g in generators):
+        points = solve_if_zero_dimensional(basis)
+        if not points:
+            return None
+        point = points[0]
+    return RatMatrix.from_rows([[e.eval(point) for e in row] for row in grid])
 
 
 @dataclass(frozen=True)
@@ -226,8 +207,8 @@ class MinorCombination:
 
 
 def _chart_minor_system(combination: MinorCombination, pivots, ambient):
-    """One generator per reduced row and `size`-subset C of the chart's rows."""
-    grid, variables, slots = chart_parameter_matrix(pivots, ambient)
+    """One generator per reduced row and `size`-subset C of the chart's rows, and the chart grid."""
+    grid, variables = chart_parameter_matrix(pivots, ambient)
     generators = []
     for C in combinations(range(len(pivots)), combination.size):
         found = subset_minors([grid[i] for i in C], MultiPoly.constant(variables, 1))
@@ -238,7 +219,7 @@ def _chart_minor_system(combination: MinorCombination, pivots, ambient):
                 for e, v in minors[k].items():
                     terms[e] = terms.get(e, 0) + c * v
             generators.append(MultiPoly(variables, terms))
-    return generators, slots
+    return generators, grid
 
 
 def _chart_search(ambient, k, combination: MinorCombination, accept, budget) -> Iterator[ChartReport]:
@@ -252,14 +233,14 @@ def _chart_search(ambient, k, combination: MinorCombination, accept, budget) -> 
     WitnessCheckFailed.
     """
     for pivots in combinations(range(ambient), k):
-        generators, slots = _chart_minor_system(combination, pivots, ambient)
+        generators, grid = _chart_minor_system(combination, pivots, ambient)
         nonzero = [g for g in generators if not g.is_zero()]
         verdict = groebner(nonzero, budget)
         if verdict.certificate is not None and not is_unit_certificate(nonzero, verdict.certificate):
             raise WitnessCheckFailed(f"chart {pivots}: the certificate does not sum to 1")
         witness = None
         if verdict.status == IdealStatus.HAS_COMPLEX_SOLUTION:
-            witness = _witness_from_chart(verdict.basis, nonzero, pivots, ambient, slots)
+            witness = _witness_from_chart(verdict.basis, nonzero, grid)
             if witness is not None and not accept(witness):
                 raise WitnessCheckFailed(f"chart {pivots}: the witness fails its independent check")
         yield ChartReport(pivots, verdict.status.value, witness)

@@ -108,7 +108,7 @@ def direct_degeneracy_chart_system(ar: ARSystem, pivots) -> list[MultiPoly]:
     grid, coefficient by coefficient; the library builds the same span from a
     row-reduced constant matrix instead.
     """
-    grid, variables, _ = chart_parameter_matrix(pivots, ar.external_dim)
+    grid, variables = chart_parameter_matrix(pivots, ar.external_dim)
     width = ar.external_dim
     base = ar.p * (ar.p - 1) // 2
     gens = [MultiPoly(variables) for _ in range(ar.n + 1)]
@@ -130,7 +130,7 @@ def direct_rank_chart_system(Q: HomPolyMatrix, pivots, width: int, h: int, r: in
     Forms the product over the chart parameters and s, t, takes every minor
     with `mp_det`, and groups its terms by their (s,t) part.
     """
-    grid, variables, _ = chart_parameter_matrix(pivots, width)
+    grid, variables = chart_parameter_matrix(pivots, width)
     full = variables + ("s", "t")
     nparams = len(variables)
     product = []

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
-from fbinv.cli import main
+from fbinv.cli import _HANDLERS, main
 from fbinv.reference import reference_system
 from fbinv.sampling import random_state_space
 from fbinv.serialize import MAX_DEGREE, ar_to_json, dumps, state_space_to_json
@@ -186,7 +187,42 @@ def test_verify_example51_command(capsys):
     code, report = run(capsys, "verify-example51")
     assert code == 0
     assert report["pass"] is True
-    assert report["verdict"].startswith("degenerate but stable")
+    assert report["verdict"] == "degenerate but stable"
+    assert report["checks"]["stability"] == {"pass": True, "status": "StableCertified"}
+
+
+def test_verify_example51_fails_without_a_stability_certificate(capsys, monkeypatch):
+    from fbinv import stability
+
+    certify = stability.stability_check
+
+    def uncertified(ar, **kwargs):
+        verdict = certify(ar, **kwargs)
+        if kwargs.get("mode") == stability.StabilityMode.EXHAUSTIVE:
+            return dataclasses.replace(verdict, status=stability.StabilityStatus.NOT_CERTIFIED)
+        return verdict
+
+    monkeypatch.setattr(stability, "stability_check", uncertified)
+    code, report = run(capsys, "verify-example51")
+    assert code == 3
+    assert report["pass"] is False and report["verdict"] == "unconfirmed"
+    assert report["checks"]["stability"] == {"pass": False, "status": "NotCertified"}
+    assert report["checks"]["generic_ranks"]["pass"] is True
+
+
+def test_verify_example51_has_no_generic_only_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-example51", "--generic-only"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--max-degree"])
+def test_negative_groebner_budget_is_a_parse_error(capsys, reference_file, flag):
+    code, report = run(capsys, "nondegenerate", reference_file, flag, "-1")
+    assert code == 2
+    assert report["error"] == "ParseError"
+    assert report["message"] == f"{flag} must be nonnegative, got -1"
 
 
 def test_observable_part_command(capsys, tmp_path):
@@ -215,6 +251,67 @@ def test_act_on_pencil(capsys, tmp_path):
     assert code == 0
     assert report["kind"] == "pencil"
     assert report["M"] == [["0", "1"], ["-1/2", "0"]]
+
+
+def test_act_on_mfd_flags_a_singular_d_block(capsys, tmp_path):
+    # (D N) = (s s) and T^{-1} = [[1, 0], [-1, 1]]: the new D block is 0
+    m_path = tmp_path / "mfd.json"
+    m_path.write_text(json.dumps({"kind": "mfd", "D": [[["0", "1"]]], "N": [[["0", "1"]]], "row_degrees": [1]}))
+    t_path = tmp_path / "t.json"
+    t_path.write_text(json.dumps({"kind": "transform", "T": [["1", "0"], ["1", "1"]]}))
+    code, report = run(capsys, "act", str(m_path), "--transform", str(t_path))
+    assert code == 0
+    assert report["kind"] == "mfd" and report["improper"] is True
+    assert report["D"] == [[[]]] and report["N"] == [[["0", "1"]]]
+
+
+_MISO_AR = {
+    "kind": "ar",
+    "m": 1,
+    "p": 1,
+    "row_degrees": [2],
+    "P": [[{"degree": 2, "terms": [["1", 2, 0]]}, {"degree": 2, "terms": [["1", 0, 2]]}]],
+}
+_INPUTS = {
+    "ar": ar_to_json(reference_system()),
+    "miso": _MISO_AR,
+    "ss": state_space_to_json(random_state_space(random.Random(7), 2, 1, 1, observable=True)),
+    "mfd": {"kind": "mfd", "D": [[["0", "1"]]], "N": [[["1"]]], "row_degrees": [1]},
+    "pencil": {"kind": "pencil", "K": [["-1"], ["0"]], "L": [["0"], ["1"]], "M": [["0", "1"], ["-1", "0"]]},
+    "transform": {"kind": "transform", "T": [["1", "1"], ["0", "1"]]},
+}
+# one argv per command; a name from _INPUTS stands for a file holding it
+_ARGV = {
+    "factorize": ["ss"],
+    "homogenize": ["mfd"],
+    "kernel": ["ar"],
+    "observable-part": ["ar"],
+    "nondegenerate": ["ar"],
+    "stability": ["ar"],
+    "miso-invariant": ["miso"],
+    "equivalent": ["miso", "miso"],
+    "act": ["miso", "--transform", "transform"],
+    "embed": ["miso", "--ell", "2"],
+    "pencil-check": ["pencil"],
+    "pencil-to-ar": ["pencil"],
+    "verify-example51": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HANDLERS))
+def test_output_file_is_the_printed_report(capsys, tmp_path, command):
+    argv = [command]
+    for arg in _ARGV[command]:
+        if arg in _INPUTS:
+            path = tmp_path / f"{arg}.json"
+            path.write_text(dumps(_INPUTS[arg]))
+            arg = str(path)
+        argv.append(arg)
+    out = tmp_path / "report.json"
+    code = main([*argv, "-o", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_seed_env_default(capsys, reference_file, monkeypatch):

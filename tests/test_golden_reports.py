@@ -76,7 +76,7 @@ GOLDEN = {
     "factorize | ss-n3-m2-p1-seed0": "761b1dbe13bb88afd2f6138170af3bdc42ddc02509f3a51b946fb1e1d3b80c66",
     "factorize | ss-n4-m1-p2-seed1": "bf40d892913e2125087830401d0e6c7756e04571d070d5c19646e1ed9fbd11d6",
     "factorize | ss-n3-m2-p2-seed2": "1490b0ee631b7129d08841f58aaf9c97e24cb9cd32fbd6a7024d53bc9ee4a229",
-    "verify-example51 | none": "ad8d0dada3aa28569d192066bdcd3e26f7a7e81284216e5537d219f0318af1a7",
+    "verify-example51 | none": "a4b002b5699866725c6e471a4824322bf133da4c4bea6e6d54e59b7efc807f44",
 }
 
 

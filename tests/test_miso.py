@@ -5,6 +5,7 @@ import pytest
 
 from fbinv.arsys import act_T, validate
 from fbinv.errors import DegenerateSystem, DimensionMismatch
+from fbinv.grassmann import GrassmannPoint
 from fbinv.linalg import RatMatrix
 from fbinv.miso import ambient_dimension_N, miso_equivalent, miso_invariant
 from fbinv.poly import HomPoly
@@ -90,6 +91,28 @@ def test_equivalence_relation_properties():
             for c in systems:
                 if miso_equivalent(a, b) and miso_equivalent(b, c):
                     assert miso_equivalent(a, c)
+
+
+def test_pluecker_vector_needs_no_normalisation():
+    # the first nonzero maximal minor of an rref basis is the one on its pivot columns: 1
+    rng = random.Random(43)
+    checked = 0
+    while checked < 40:
+        amb = rng.randint(2, 6)
+        k = rng.randint(1, amb)
+        rows = RatMatrix.from_rows([[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(amb)] for _ in range(k)], amb)
+        if rows.rank() < k:
+            continue
+        checked += 1
+        point = GrassmannPoint.from_rows(rows.entries, amb)
+        subsets = list(combinations(range(amb), k))
+        basis = point.canonical_basis
+        assert point.pluecker == tuple(basis.submatrix(range(k), cols).det() for cols in subsets)
+        assert next(c for c in point.pluecker if c != 0) == 1
+        # the same point of projective space as the minors of the rows it was built from
+        minors = [rows.submatrix(range(k), cols).det() for cols in subsets]
+        first = next(c for c in minors if c != 0)
+        assert point.pluecker == tuple(c / first for c in minors)
 
 
 def test_pluecker_quadratic_relations():

@@ -128,6 +128,17 @@ def test_left_coprime_integrator():
     assert mfd.Nmat[0][0] == up(1)
 
 
+def test_left_coprime_static_gain():
+    # n = 0: the left kernel of the empty stack is everything, so D = I and N is the gain
+    gain = RatMatrix.from_rows([[1, 2], [3, 4]])
+    ss = StateSpace(RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 2), RatMatrix.zeros(2, 0), gain)
+    mfd = left_coprime_mfd(ss)
+    assert mfd.row_degrees == (0, 0)
+    assert mfd.Dmat == ((up(1), up()), (up(), up(1)))
+    assert mfd.Nmat == ((up(1), up(2)), (up(3), up(4)))
+    assert cleared_denominator_identity_holds(ss, mfd) and mfd_is_left_coprime(mfd)
+
+
 def test_left_coprime_double_integrator():
     ss = StateSpace(
         RatMatrix.from_rows([[0, 1], [0, 0]]),
