@@ -29,6 +29,13 @@ class GrassmannPoint:
     def __post_init__(self):
         if self.canonical_basis.cols != self.ambient_dim:
             raise ShapeMismatch("basis vectors do not live in the declared ambient space")
+        rows = self.canonical_basis.entries
+        pivots = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+        echelon = None not in pivots and pivots == sorted(set(pivots))
+        if not echelon or any(
+            row[j] != (1 if i == k else 0) for k, j in enumerate(pivots) for i, row in enumerate(rows)
+        ):
+            raise ValueError("the basis is not in reduced row echelon form")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ambient_dim: int) -> "GrassmannPoint":

@@ -205,13 +205,16 @@ def parse_mfd(data) -> MFD:
     elif not isinstance(degrees, list):
         raise ParseError("'row_degrees' must be a list")
     reduced_from = data.get("reduced_from")
-    if reduced_from is not None and not _is_int(reduced_from):
+    if reduced_from is not None and not (_is_int(reduced_from) and reduced_from >= 0):
         raise ParseError(f"bad 'reduced_from' {reduced_from!r}")
+    improper = data.get("improper", False)
+    if not isinstance(improper, bool):
+        raise ParseError(f"bad 'improper' {improper!r}")
     return MFD(
         Dmat,
         Nmat,
         tuple(_parse_degree(d, "row degree") for d in degrees),
-        improper=bool(data.get("improper", False)),
+        improper=improper,
         reduced_from=reduced_from,
     )
 

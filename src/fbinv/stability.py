@@ -9,9 +9,9 @@ kernel of Q, so rank Q H^T = rank [P; H] - p, and both questions are rank
 conditions on P stacked over a constant subspace: one Laplace combination of
 the maximal minors of P builds the polynomial systems of both, whose
 solvability over the complex numbers is decided exactly by Groebner bases
-over chart parametrizations.  Q is computed only to check a stability
-witness, and for `GenericSubspace` mode, which reproduces the cheap
-random-flag rank profile: it can refute the criterion but never certify it.
+over chart parametrizations.  Witnesses and the random flags of
+`GenericSubspace` mode are measured by the generic rank of [P; H] itself;
+that mode can refute the criterion but never certify it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .arsys import ARSystem, compute_Q
+from .arsys import ARSystem
 from .errors import WitnessCheckFailed
 from .ideals import (
     DEFAULT_BUDGET,
@@ -132,12 +132,22 @@ class StabilityVerdict:
 # Stacked determinants
 
 
+def _stacked(P: HomPolyMatrix, H: RatMatrix) -> HomPolyMatrix:
+    """[P; H], with H's entries as degree-0 forms."""
+    rows = [list(r) for r in P.entries]
+    rows += [[HomPoly.constant(x) for x in hrow] for hrow in H.entries]
+    return HomPolyMatrix.from_rows(rows)
+
+
 def stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
     """det [P; K] computed directly on the stacked polynomial matrix."""
-    rows = [list(r) for r in P.entries]
-    for krow in K.entries:
-        rows.append([HomPoly.constant(x) for x in krow])
-    return determinant(HomPolyMatrix.from_rows(rows))
+    return determinant(_stacked(P, K))
+
+
+def _is_low_rank(ar: ARSystem, H: RatMatrix, size: int) -> bool:
+    """Full row rank and rank [P; H] < p + size: det [P; H] = 0 for size = m,
+    and rank Q H^T = rank [P; H] - p <= r for size = r + 1."""
+    return H.rank() == H.rows and generic_rank(_stacked(ar.P, H)) < ar.p + size
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +232,18 @@ def _chart_minor_system(combination: MinorCombination, pivots, ambient):
     return generators, grid
 
 
-def _chart_search(ambient, k, combination: MinorCombination, accept, budget) -> Iterator[ChartReport]:
-    """Decide the reduced-echelon charts of Grass(k, ambient) in lexicographic order.
+def _chart_search(ar: ARSystem, k, combination: MinorCombination, budget) -> Iterator[ChartReport]:
+    """Decide the reduced-echelon charts of Grass(k, m + p) in lexicographic order.
 
     Each chart's system is built from `combination` by `_chart_minor_system`.
-    A solvable chart carries the rational point found on it, which `accept`
-    must confirm by a route independent of the chart system.  An unsolvable
-    chart's Nullstellensatz certificate, when the verdict has one, is checked
-    by summation.  A witness or certificate that fails its check raises
-    WitnessCheckFailed.
+    A solvable chart carries the rational point found on it, which must pass
+    `_is_low_rank(ar, witness, combination.size)`, a rank of [P; H] computed
+    without the chart system.  An unsolvable chart's Nullstellensatz
+    certificate, when the verdict has one, is checked by summation.  A
+    witness or certificate that fails its check raises WitnessCheckFailed.
     """
-    for pivots in combinations(range(ambient), k):
-        generators, grid = _chart_minor_system(combination, pivots, ambient)
+    for pivots in combinations(range(ar.external_dim), k):
+        generators, grid = _chart_minor_system(combination, pivots, ar.external_dim)
         nonzero = [g for g in generators if not g.is_zero()]
         verdict = groebner(nonzero, budget)
         if verdict.certificate is not None and not is_unit_certificate(nonzero, verdict.certificate):
@@ -241,7 +251,7 @@ def _chart_search(ambient, k, combination: MinorCombination, accept, budget) -> 
         witness = None
         if verdict.status == IdealStatus.HAS_COMPLEX_SOLUTION:
             witness = _witness_from_chart(verdict.basis, nonzero, grid)
-            if witness is not None and not accept(witness):
+            if witness is not None and not _is_low_rank(ar, witness, combination.size):
                 raise WitnessCheckFailed(f"chart {pivots}: the witness fails its independent check")
         yield ChartReport(pivots, verdict.status.value, witness)
 
@@ -268,15 +278,7 @@ def is_nondegenerate(ar: ARSystem, budget: GroebnerBudget = DEFAULT_BUDGET) -> D
     """
     if ar.p == 1:
         return _miso_nondegenerate(ar)
-    reports = tuple(
-        _chart_search(
-            ar.external_dim,
-            ar.m,
-            _stacked_combination(ar, ar.m),
-            lambda K: _kills_stacked_determinant(ar, K),
-            budget,
-        )
-    )
+    reports = tuple(_chart_search(ar, ar.m, _stacked_combination(ar, ar.m), budget))
     solvable = [r for r in reports if r.status == IdealStatus.HAS_COMPLEX_SOLUTION]
     if solvable:
         primary = next((r for r in solvable if r.witness is not None), solvable[0])
@@ -284,11 +286,6 @@ def is_nondegenerate(ar: ARSystem, budget: GroebnerBudget = DEFAULT_BUDGET) -> D
     if any(r.status == IdealStatus.BUDGET_EXCEEDED for r in reports):
         return DegeneracyVerdict(DegeneracyStatus.NOT_CERTIFIED, None, None, reports)
     return DegeneracyVerdict(DegeneracyStatus.NONDEGENERATE, None, None, reports)
-
-
-def _kills_stacked_determinant(ar: ARSystem, K: RatMatrix) -> bool:
-    """Is K a degeneracy witness: det [P; K] identically zero and rank K = m?"""
-    return stacked_determinant(ar.P, K).is_zero() and K.rank() == ar.m
 
 
 def _miso_nondegenerate(ar: ARSystem) -> DegeneracyVerdict:
@@ -299,7 +296,7 @@ def _miso_nondegenerate(ar: ARSystem) -> DegeneracyVerdict:
     # kernel is spanned by c has signed minors proportional to c
     c = coeffs.transpose().right_nullspace().entries[0]
     witness, chart = RatMatrix.from_rows([c]).right_nullspace().rref()
-    if not _kills_stacked_determinant(ar, witness):  # pragma: no cover - defensive
+    if not _is_low_rank(ar, witness, ar.m):  # pragma: no cover - defensive
         raise WitnessCheckFailed("single-output degeneracy witness does not kill det [P; K]")
     return DegeneracyVerdict(DegeneracyStatus.DEGENERATE, witness, chart, ())
 
@@ -346,68 +343,58 @@ def stability_check(
     rank Q H^T = rank [P; H] - p.  Exhaustive mode decides, for every h and
     both bounds, whether some subspace H has rank [P; H] at most p + r, by
     chart systems over Grassmannians built from the maximal minors of P; it
-    alone can certify stability, and computes Q = compute_Q(ar) only to check
-    a witness.  GenericSubspace mode reports the rank profile of random flags
-    on Q: a violated bound refutes the criterion, but passing ranks are
-    reported NotCertified.  Q is the observable part's too: the right kernel
-    depends only on the row space of P.
+    alone can certify stability.  GenericSubspace mode reports the rank
+    profile of random flags: a violated bound refutes the criterion, but
+    passing ranks are reported NotCertified.  Both modes read every rank off
+    [P; H], so Q itself is never computed.
     """
     m, p = ar.m, ar.p
-    width = m + p
-    bounds = [GradedBound.for_dimension(h, m, p) for h in range(1, width)]
+    bounds = [GradedBound.for_dimension(h, m, p) for h in range(1, m + p)]
     if mode == StabilityMode.GENERIC_SUBSPACE:
-        return _generic_subspace_check(compute_Q(ar).Q, bounds, width, seed)
+        return _generic_subspace_check(ar, bounds, seed)
     return _exhaustive_check(ar, bounds, budget)
 
 
-def _generic_subspace_check(Q, bounds, width, seed) -> StabilityVerdict:
+def _generic_subspace_check(ar, bounds, seed) -> StabilityVerdict:
     rng = random.Random(seed)
-    flags = [random_invertible(rng, width, lo=-9, hi=9) for _ in range(FLAG_SAMPLES)]
+    width = ar.external_dim
+    flags = [random_invertible(rng, width, lo=-9, hi=9).transpose() for _ in range(FLAG_SAMPLES)]
     details = []
     witness = None
-    failed = False
     for bound in bounds:
         achieved = 0
-        for A in flags:
-            moved = Q.mul_rat(A).submatrix(range(Q.rows), range(bound.h))
-            achieved = max(achieved, generic_rank(moved))
+        for flag in flags:
+            H = flag.submatrix(range(bound.h), range(width))
+            achieved = max(achieved, generic_rank(_stacked(ar.P, H)) - ar.p)
             if achieved >= bound.strict_bound:
                 break
         strict_ok = achieved >= bound.strict_bound
         weak_ok = achieved >= bound.weak_bound
         if not strict_ok and witness is None:
-            witness = flags[0].transpose().submatrix(range(bound.h), range(width))
-            failed = True
+            witness = flags[0].submatrix(range(bound.h), range(width))
         details.append(
             RankReport(bound.h, bound.weak_bound, bound.strict_bound, achieved, strict_ok, weak_ok)
         )
-    status = StabilityStatus.CRITERION_FAILS if failed else StabilityStatus.NOT_CERTIFIED
+    status = StabilityStatus.NOT_CERTIFIED if witness is None else StabilityStatus.CRITERION_FAILS
     return StabilityVerdict(status, StabilityMode.GENERIC_SUBSPACE, tuple(details), witness)
 
 
 def _exhaustive_check(ar, bounds, budget) -> StabilityVerdict:
-    width = ar.external_dim
     minors = maximal_minors(ar.P, ar.p)
 
-    # this call's state, shared across h: one combination per size, Q on first use
+    # one combination per size, shared across h within this call
     @functools.cache
     def combination(size: int) -> MinorCombination:
         return _stacked_combination(ar, size, minors)
 
-    @functools.cache
-    def kernel() -> HomPolyMatrix:
-        return compute_Q(ar).Q
-
     def low_rank(h: int, r: int) -> tuple[bool | None, RatMatrix | None]:
         """Is there an h-dimensional H with rank [P; H] at most p + r, that is rank Q H^T <= r?
 
-        A witness H must pass generic_rank(Q H^T) <= r.  Returns (exists,
-        witness or None); exists is None when undecided within budget.
+        Returns (exists, witness or None); exists is None when undecided
+        within budget.
         """
         exceeded = False
-        for report in _chart_search(
-            width, h, combination(r + 1), lambda H: generic_rank(kernel().mul_rat(H.transpose())) <= r, budget
-        ):
+        for report in _chart_search(ar, h, combination(r + 1), budget):
             if report.status == IdealStatus.HAS_COMPLEX_SOLUTION:
                 return True, report.witness
             exceeded = exceeded or report.status == IdealStatus.BUDGET_EXCEEDED

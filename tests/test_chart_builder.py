@@ -20,7 +20,7 @@ from fbinv.multipoly import MultiPoly
 from fbinv.poly import HomPoly
 from fbinv.polymatrix import HomPolyMatrix, determinant, generic_rank
 from fbinv.sampling import random_ar_system, random_rat_matrix
-from fbinv.stability import GradedBound, stability_check, stacked_determinant
+from fbinv.stability import GradedBound, StabilityMode, is_nondegenerate, stability_check, stacked_determinant
 from oracles import direct_degeneracy_chart_system, direct_rank_chart_system
 
 # (p, m, row degrees): balanced n >= mp sizes, and the n < mp composition of
@@ -155,23 +155,47 @@ def test_degeneracy_combination_rows_span_the_stacked_determinant():
         assert _same_functionals(builder, direct), ar.P
 
 
-def test_rank_of_p_over_h_exceeds_the_rank_of_q_times_h_by_p():
-    """rank [P; H] = rank Q H^T + p: the identity the stacked combinations rest on.
+def _flag_through(H: RatMatrix) -> RatMatrix:
+    """An invertible matrix whose first rows are H, completed by unit rows."""
+    flag = H
+    for unit in RatMatrix.identity(H.cols).entries:
+        extended = flag.vstack(RatMatrix.from_rows([unit]))
+        if extended.rank() == extended.rows:
+            flag = extended
+    return flag
+
+
+def test_rank_of_p_over_h_exceeds_the_rank_of_q_times_h_by_p(monkeypatch):
+    """rank [P; H] = rank Q H^T + p: the identity every rank in `stability` rests on.
 
     H ranges over random subspaces of every dimension, with entries in [-1, 1]
-    so that some meet the row space of P, and over the low-rank witnesses of
-    exhaustive stability checks.
+    so that some meet the row space of P, and over every witness the library
+    checks on [P; H] alone: those of exhaustive and generic stability checks,
+    and the nondegeneracy witnesses of every solvable chart.  Random flags
+    almost never refute, so generic mode draws its flags through the
+    exhaustive witness, when there is one; its ranks must then be those of
+    Q H^T on that flag.
     """
     rng = random.Random(14)
-    lowered = 0
+    lowered = refuted = 0
     for ar in _systems():
         Q = compute_Q(observable_part(ar)).Q
         width = ar.external_dim
         witness = stability_check(ar).witness
+        witnesses = [witness] + [r.witness for r in is_nondegenerate(ar).chart_reports]
+        if witness is not None:
+            flag = _flag_through(witness)
+            monkeypatch.setattr(stability, "random_invertible", lambda *args, **kwargs: flag.transpose())
+            sampled = stability_check(ar, StabilityMode.GENERIC_SUBSPACE)
+            for report in sampled.details:
+                H = flag.submatrix(range(report.h), range(width))
+                assert report.achieved == generic_rank(Q.mul_rat(H.transpose())), (ar.P, report)
+            refuted += sampled.witness is not None
+            witnesses.append(sampled.witness)
         samples = [random_rat_matrix(rng, h, width, -1, 1) for h in range(1, width + 1) for _ in range(3)]
-        for H in samples + ([witness] if witness is not None else []):
+        for H in samples + [w for w in witnesses if w is not None]:
             stacked = [list(row) for row in ar.P.entries] + [[HomPoly.constant(x) for x in row] for row in H.entries]
             rank_q = generic_rank(Q.mul_rat(H.transpose()))
             assert generic_rank(HomPolyMatrix.from_rows(stacked)) - ar.p == rank_q, (ar.P, H)
             lowered += rank_q < H.rank()
-    assert lowered > 0
+    assert lowered > 0 and refuted > 0

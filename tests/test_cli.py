@@ -360,6 +360,8 @@ _REFERENCE_AR = ar_to_json(reference_system())
         ("nondegenerate", {**_REFERENCE_AR, "m": "3"}),
         ("nondegenerate", {**_REFERENCE_AR, "row_degrees": [2.7, 2]}),
         ("homogenize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "row_degrees": [-1]}),
+        ("homogenize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "improper": "false"}),
+        ("homogenize", {"kind": "mfd", "D": [[["1"]]], "N": [[["1"]]], "reduced_from": -7}),
         # raw JSON text: past Python's int-string limit, and nested past the recursion limit
         ("nondegenerate", json.dumps({**_REFERENCE_AR, "m": 0}).replace('"m": 0', '"m": ' + "1" * 5001)),
         ("kernel", "[" * 100000 + "]" * 100000),
@@ -373,6 +375,8 @@ _REFERENCE_AR = ar_to_json(reference_system())
         "ar-m-string",
         "ar-row-degree-float",
         "mfd-row-degree-negative",
+        "mfd-improper-a-string",
+        "mfd-reduced-from-negative",
         "int-over-digit-limit",
         "array-nested-too-deep",
     ],

@@ -110,6 +110,22 @@ def test_grassmann_pluecker_size_cap():
     assert small["pluecker"] == ["1"]
 
 
+def test_grassmann_point_rejects_a_basis_that_is_not_its_rref():
+    from fbinv.grassmann import GrassmannPoint
+    from fbinv.sampling import random_rat_matrix
+    from oracles import grassmann_point_of
+
+    for rows in ([[2, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            GrassmannPoint(2, RatMatrix.from_rows(rows))
+    rng = random.Random(19)
+    for _ in range(60):
+        k, width = rng.randint(0, 4), rng.randint(1, 5)
+        mat = random_rat_matrix(rng, k, width, -2, 2) if k else RatMatrix(0, width, ())
+        point = GrassmannPoint.from_rows(mat.entries, width)
+        assert point == grassmann_point_of(mat)
+
+
 def _valid_documents() -> list[dict]:
     rng = random.Random(6)
     ss = random_state_space(rng, 2, 1, 2, observable=True)

@@ -12,7 +12,7 @@ from fbinv.ideals import DEFAULT_BUDGET, GroebnerBudget, groebner
 from fbinv.multipoly import MultiPoly
 from fbinv.linalg import RatMatrix
 from fbinv.poly import HomPoly
-from fbinv.polymatrix import HomPolyMatrix
+from fbinv.polymatrix import HomPolyMatrix, generic_rank
 from fbinv.reference import reference_degeneracy_witness, reference_system
 from fbinv.sampling import random_ar_system, random_invertible, random_rat_matrix
 from fbinv.stability import (
@@ -205,10 +205,22 @@ def test_chart_search_raises_on_a_changed_certificate(monkeypatch):
 
 
 def test_chart_search_raises_on_a_rejected_witness():
-    # no rows, so no generators: every chart is solvable, at the chart's origin
-    search = stability._chart_search(2, 1, MinorCombination(1, (), ()), lambda witness: False, DEFAULT_BUDGET)
+    # no rows, so no generators: every chart is solvable, at the chart's origin;
+    # the origin [1, 0] of the first chart does not lower rank [P; H] below p + 1
+    ar = random_ar_system(random.Random(0), 1, 1, 2)
+    search = stability._chart_search(ar, 1, MinorCombination(1, (), ()), DEFAULT_BUDGET)
     with pytest.raises(WitnessCheckFailed):
         next(search)
+
+
+def test_a_subspace_without_full_row_rank_is_never_a_witness():
+    # a repeated row lowers rank [P; H] below p + size on any system
+    ar = reference_system()
+    row = [1] + [0] * (ar.external_dim - 1)
+    for size in range(2, ar.m + 1):
+        H = RatMatrix.from_rows([row] * size)
+        assert generic_rank(stability._stacked(ar.P, H)) < ar.p + size
+        assert not stability._is_low_rank(ar, H, size)
 
 
 def ladder_system():
