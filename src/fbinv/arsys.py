@@ -250,20 +250,6 @@ def observable_part(ar: ARSystem) -> ARSystem:
     return validate(HomPolyMatrix.from_rows(rows), degrees, ar.m, ar.p)
 
 
-def mul_row_vector(vec: Sequence[HomPoly], M: HomPolyMatrix) -> tuple[HomPoly, ...]:
-    """Row vector times polynomial matrix."""
-    out = []
-    for j in range(M.cols):
-        acc = None
-        for k, poly in enumerate(vec):
-            if poly.is_zero():
-                continue
-            term = poly * M.entries[k][j]
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else HomPoly.zero(0))
-    return tuple(out)
-
-
 def kernel_product_is_zero(P: HomPolyMatrix, Q: HomPolyMatrix) -> bool:
     """Exact check that P Q^T vanishes identically."""
     for i in range(P.rows):

@@ -14,11 +14,11 @@ import sys
 
 from .arsys import ARSystem, act_T, compute_Q, observable_part, rho_embedding
 from .errors import FbinvError, ParseError
-from .ideals import GroebnerBudget
+from .ideals import DEFAULT_BUDGET, GroebnerBudget
 from .linalg import RatMatrix
 from .miso import miso_equivalent, miso_invariant
-from .pencil import PencilSystem, act_pencil, is_admissible, is_controllable, reorder_to_input_first, to_ar
-from .realization import MFD, StateSpace, apply_extended_feedback, left_coprime_mfd, to_hom_ar
+from .pencil import act_pencil, is_admissible, is_controllable, reorder_to_input_first, to_ar
+from .realization import MFD, apply_extended_feedback, left_coprime_mfd, to_hom_ar
 from .reference import run_reference_checks
 from .serialize import (
     MAX_DEGREE,
@@ -48,10 +48,15 @@ def _budget(args) -> GroebnerBudget:
     return GroebnerBudget(max_pairs=args.budget, max_degree=args.max_degree)
 
 
-def _expect(obj, klass, what: str):
-    if not isinstance(obj, klass):
-        raise ParseError(f"expected a {what} file, got {type(obj).__name__}")
-    return obj
+def _seed(args) -> int:
+    """--seed, else FBINV_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("FBINV_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"FBINV_SEED must be an integer, got {raw!r}") from None
 
 
 def _one_based(chart) -> list[int] | None:
@@ -59,32 +64,32 @@ def _one_based(chart) -> list[int] | None:
 
 
 def cmd_factorize(args):
-    ss = _expect(load_system(args.input), StateSpace, "state_space")
+    ss = load_system(args.input, *args.kinds)
     mfd = left_coprime_mfd(ss, strict=args.strict)
     report = system_to_json(mfd)
     return EXIT_OK, report
 
 
 def cmd_homogenize(args):
-    mfd = _expect(load_system(args.input), MFD, "mfd")
+    mfd = load_system(args.input, *args.kinds)
     report = system_to_json(to_hom_ar(mfd))
     return EXIT_OK, report
 
 
 def cmd_kernel(args):
-    ar = _expect(load_system(args.input), ARSystem, "ar")
+    ar = load_system(args.input, *args.kinds)
     report = system_to_json(compute_Q(ar))
     return EXIT_OK, report
 
 
 def cmd_observable_part(args):
-    ar = _expect(load_system(args.input), ARSystem, "ar")
+    ar = load_system(args.input, *args.kinds)
     report = system_to_json(observable_part(ar))
     return EXIT_OK, report
 
 
 def cmd_nondegenerate(args):
-    ar = _expect(load_system(args.input), ARSystem, "ar")
+    ar = load_system(args.input, *args.kinds)
     verdict = is_nondegenerate(ar, budget=_budget(args))
     report = {
         "command": "nondegenerate",
@@ -105,14 +110,15 @@ def cmd_nondegenerate(args):
 
 
 def cmd_stability(args):
-    ar = _expect(load_system(args.input), ARSystem, "ar")
+    seed = _seed(args)
+    ar = load_system(args.input, *args.kinds)
     mode = StabilityMode.EXHAUSTIVE if args.mode == "exhaustive" else StabilityMode.GENERIC_SUBSPACE
-    verdict = stability_check(ar, mode=mode, seed=args.seed, budget=_budget(args))
+    verdict = stability_check(ar, mode=mode, seed=seed, budget=_budget(args))
     report = {
         "command": "stability",
         "mode": verdict.mode.value,
         "status": verdict.status.value,
-        "seed": args.seed,
+        "seed": seed,
         "details": [
             {
                 "h": r.h,
@@ -131,7 +137,7 @@ def cmd_stability(args):
 
 
 def cmd_miso_invariant(args):
-    ar = _expect(load_system(args.input), ARSystem, "ar")
+    ar = load_system(args.input, *args.kinds)
     point = miso_invariant(ar)
     report = grassmann_to_json(point)
     report["command"] = "miso-invariant"
@@ -139,28 +145,24 @@ def cmd_miso_invariant(args):
 
 
 def cmd_equivalent(args):
-    ar1 = _expect(load_system(args.input), ARSystem, "ar")
-    ar2 = _expect(load_system(args.other), ARSystem, "ar")
+    ar1 = load_system(args.input, *args.kinds)
+    ar2 = load_system(args.other, *args.kinds)
     verdict = miso_equivalent(ar1, ar2)
     report = {"command": "equivalent", "equivalent": verdict}
     return EXIT_OK, report
 
 
 def cmd_act(args):
-    obj = load_system(args.input)
-    T = load_system(args.transform)
-    if not isinstance(T, RatMatrix):
-        raise ParseError("--transform must point at a transform file")
+    obj = load_system(args.input, *args.kinds)
+    T = load_system(args.transform, "transform")
     if isinstance(obj, ARSystem):
         result = act_T(obj, T)
     elif isinstance(obj, MFD):
         result = apply_extended_feedback(obj, T)
-    elif isinstance(obj, PencilSystem):
+    else:
         result = act_pencil(
             obj, RatMatrix.identity(obj.n + obj.p), RatMatrix.identity(obj.n), T
         )
-    else:
-        raise ParseError("act applies to ar, mfd and pencil files")
     report = system_to_json(result)
     return EXIT_OK, report
 
@@ -168,7 +170,7 @@ def cmd_act(args):
 def cmd_embed(args):
     if args.ell > MAX_DEGREE:
         raise ParseError(f"--ell {args.ell} exceeds the limit {MAX_DEGREE}")
-    ar = _expect(load_system(args.input), ARSystem, "ar")
+    ar = load_system(args.input, *args.kinds)
     point = rho_embedding(ar, args.ell)
     report = grassmann_to_json(point, with_pluecker=not args.no_pluecker)
     report["command"] = "embed"
@@ -177,7 +179,7 @@ def cmd_embed(args):
 
 
 def cmd_pencil_check(args):
-    ps = _expect(load_system(args.input), PencilSystem, "pencil")
+    ps = load_system(args.input, *args.kinds)
     admissible = is_admissible(ps)
     report = {
         "command": "pencil-check",
@@ -191,7 +193,7 @@ def cmd_pencil_check(args):
 
 
 def cmd_pencil_to_ar(args):
-    ps = _expect(load_system(args.input), PencilSystem, "pencil")
+    ps = load_system(args.input, *args.kinds)
     ar = to_ar(ps)
     order = "y_first"
     if not args.keep_pencil_order:
@@ -203,7 +205,7 @@ def cmd_pencil_to_ar(args):
 
 
 def cmd_verify_example51(args):
-    report = run_reference_checks(seed=args.seed, budget=_budget(args))
+    report = run_reference_checks(seed=_seed(args), budget=_budget(args))
     report["command"] = "verify-example51"
     code = EXIT_OK if report["pass"] else EXIT_NOT_CERTIFIED
     return code, report
@@ -235,82 +237,68 @@ def _render_text(report, stream):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The argument parser, built once per process; parsing leaves it unchanged.
+
+    Each subcommand is declared once: its handler, the file kind its input
+    holds, and only the flags that handler reads.
+    """
     parser = argparse.ArgumentParser(
         prog="fbinv",
         description="Exact decision procedures for output-feedback invariants of linear systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="input system file (JSON)")
+    def command(name, help, handler, *kinds, seed=False, budget=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, kinds=kinds)
+        if kinds:
+            p.add_argument("input", help=f"input {' or '.join(kinds)} file (JSON)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int)  # None: read FBINV_SEED in main
-        p.add_argument("--budget", type=int, default=2000, help="Groebner S-pair budget")
-        p.add_argument("--max-degree", type=int, default=60, help="Groebner total-degree budget")
         p.add_argument("-o", "--output", help="also write the JSON report to this path")
+        if seed:
+            p.add_argument("--seed", type=int, help="random seed (default: FBINV_SEED, else 0)")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_pairs, help="Groebner S-pair budget")
+            p.add_argument(
+                "--max-degree", type=int, default=DEFAULT_BUDGET.max_degree, help="Groebner total-degree budget"
+            )
         return p
 
-    common(sub.add_parser("factorize", help="state space -> left coprime matrix fraction")).add_argument(
-        "--strict", action="store_true", help="error on non-observable systems instead of reducing"
+    factorize = command("factorize", "state space -> left coprime matrix fraction", cmd_factorize, "state_space")
+    factorize.add_argument("--strict", action="store_true", help="error on non-observable systems instead of reducing")
+    command("homogenize", "matrix fraction -> homogeneous AR system", cmd_homogenize, "mfd")
+    command("kernel", "AR system -> minimal kernel generators Q", cmd_kernel, "ar")
+    command("observable-part", "AR system -> observable part", cmd_observable_part, "ar")
+    command("nondegenerate", "decide degeneracy of an AR system", cmd_nondegenerate, "ar", budget=True)
+    stab = command(
+        "stability", "certify or refute the stability criterion", cmd_stability, "ar", seed=True, budget=True
     )
-    common(sub.add_parser("homogenize", help="matrix fraction -> homogeneous AR system"))
-    common(sub.add_parser("kernel", help="AR system -> minimal kernel generators Q"))
-    common(sub.add_parser("observable-part", help="AR system -> observable part"))
-    common(sub.add_parser("nondegenerate", help="decide degeneracy of an AR system"))
-    stab = common(sub.add_parser("stability", help="certify or refute the stability criterion"))
     stab.add_argument("--mode", choices=("generic", "exhaustive"), default="exhaustive")
-    common(sub.add_parser("miso-invariant", help="Grassmannian invariant of a single-output system"))
-    eq = common(sub.add_parser("equivalent", help="compare two single-output systems"))
-    eq.add_argument("other", help="second AR system file")
-    act = common(sub.add_parser("act", help="apply an external-variable transformation"))
+    command("miso-invariant", "Grassmannian invariant of a single-output system", cmd_miso_invariant, "ar")
+    eq = command("equivalent", "compare two single-output systems", cmd_equivalent, "ar")
+    eq.add_argument("other", help="second input ar file (JSON)")
+    act = command("act", "apply an external-variable transformation", cmd_act, "ar", "mfd", "pencil")
     act.add_argument("--transform", required=True, help="transform file (JSON)")
-    embed = common(sub.add_parser("embed", help="Grassmannian embedding at a chosen twist"))
+    embed = command("embed", "Grassmannian embedding at a chosen twist", cmd_embed, "ar")
     embed.add_argument("--ell", type=int, required=True)
     embed.add_argument("--no-pluecker", action="store_true")
-    common(sub.add_parser("pencil-check", help="admissibility and controllability of a pencil"))
-    p2a = common(sub.add_parser("pencil-to-ar", help="eliminate the latent variable of a pencil"))
+    command("pencil-check", "admissibility and controllability of a pencil", cmd_pencil_check, "pencil")
+    p2a = command("pencil-to-ar", "eliminate the latent variable of a pencil", cmd_pencil_to_ar, "pencil")
     p2a.add_argument(
         "--keep-pencil-order",
         action="store_true",
         help="keep (y; u) column order instead of bridging to (u; y)",
     )
-    common(sub.add_parser("verify-example51", help="run the bundled reference verification"), needs_input=False)
+    command(
+        "verify-example51", "run the bundled reference verification", cmd_verify_example51, seed=True, budget=True
+    )
     return parser
-
-
-_HANDLERS = {
-    "factorize": cmd_factorize,
-    "homogenize": cmd_homogenize,
-    "kernel": cmd_kernel,
-    "observable-part": cmd_observable_part,
-    "nondegenerate": cmd_nondegenerate,
-    "stability": cmd_stability,
-    "miso-invariant": cmd_miso_invariant,
-    "equivalent": cmd_equivalent,
-    "act": cmd_act,
-    "embed": cmd_embed,
-    "pencil-check": cmd_pencil_check,
-    "pencil-to-ar": cmd_pencil_to_ar,
-    "verify-example51": cmd_verify_example51,
-}
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("FBINV_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"FBINV_SEED must be an integer, got {raw!r}") from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _env_seed()
-        code, report = _HANDLERS[args.command](args)
+        code, report = args.handler(args)
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from .errors import ShapeMismatch
 from .linalg import RatMatrix
+from .poly import HomPoly
+from .polymatrix import HomPolyMatrix, maximal_minors
 
 PLUECKER_SIZE_CAP = 20_000
 
@@ -60,10 +61,10 @@ class GrassmannPoint:
             raise ShapeMismatch(
                 f"Pluecker vector of length C({self.ambient_dim},{k}) exceeds the size cap"
             )
-        return tuple(
-            self.canonical_basis.submatrix(range(k), cols).det()
-            for cols in combinations(range(self.ambient_dim), k)
-        )
+        if k == 0:
+            return (Fraction(1),)
+        basis = HomPolyMatrix.from_rows([[HomPoly.constant(x) for x in row] for row in self.canonical_basis.entries])
+        return tuple(minor.coeffs[0] for minor in maximal_minors(basis, k))
 
     def __eq__(self, other) -> bool:
         return (

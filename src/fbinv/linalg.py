@@ -170,32 +170,6 @@ class RatMatrix:
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
 
-    def det(self) -> Fraction:
-        if not self.is_square():
-            raise SingularMatrix("determinant of a non-square matrix")
-        work = [list(row) for row in self.entries]
-        n = self.rows
-        sign = ONE
-        det = ONE
-        for k in range(n):
-            pivot_row = None
-            for i in range(k, n):
-                if work[i][k] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                sign = -sign
-            piv = work[k][k]
-            det *= piv
-            for i in range(k + 1, n):
-                if work[i][k] != 0:
-                    f = work[i][k] / piv
-                    work[i] = [a - f * b for a, b in zip(work[i], work[k])]
-        return det * sign
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 

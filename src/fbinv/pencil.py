@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arsys import ARSystem, minimal_left_kernel, mul_row_vector, validate
+from .arsys import ARSystem, minimal_left_kernel, validate
 from .errors import NotAdmissible, NotControllable, ShapeMismatch, SingularMatrix, SingularTransform
 from .linalg import RatMatrix, block_matrix
 from .poly import HomPoly
@@ -111,15 +111,8 @@ def to_ar(ps: PencilSystem) -> ARSystem:
     gens = minimal_left_kernel(
         ps.pencil_matrix(), row_degrees=[1] * (ps.n + ps.p), max_degree=ps.n + 1, expected=ps.p
     )
-    m_grid = HomPolyMatrix.from_rows(
-        [[HomPoly.constant(x) for x in row] for row in ps.M.entries]
-    )
-    rows = []
-    degrees = []
-    for d, vec in gens:
-        rows.append(mul_row_vector(vec, m_grid))
-        degrees.append(d - 1)
-    return validate(HomPolyMatrix.from_rows(rows), degrees, m=ps.m, p=ps.p)
+    P = HomPolyMatrix.from_rows([vec for _, vec in gens]).mul_rat(ps.M)
+    return validate(P, [d - 1 for d, _ in gens], m=ps.m, p=ps.p)
 
 
 def pencil_to_ar_permutation(m: int, p: int) -> RatMatrix:

@@ -164,12 +164,15 @@ def parse_state_space(data) -> StateSpace:
     for key in ("A", "B", "C", "D"):
         if key not in data:
             raise ParseError(f"state space missing '{key}'")
-    return StateSpace(
+    ss = StateSpace(
         parse_matrix(data["A"], "A"),
         parse_matrix(data["B"], "B"),
         parse_matrix(data["C"], "C"),
         parse_matrix(data["D"], "D"),
     )
+    if ss.m < 1 or ss.p < 1:
+        raise ParseError("a state space needs at least one input and one output")
+    return ss
 
 
 def mfd_to_json(mfd: MFD) -> dict:
@@ -297,17 +300,22 @@ _PARSERS = {
 }
 
 
-def parse_system(data):
-    """Dispatch on the 'kind' field; returns the corresponding core object."""
+def parse_system(data, *kinds: str):
+    """Dispatch on the 'kind' field; returns the corresponding core object.
+
+    Given `kinds`, a document of any other kind is rejected before it is parsed.
+    """
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _PARSERS:
         raise ParseError(f"unknown or missing kind {kind!r}")
+    if kinds and kind not in kinds:
+        raise ParseError(f"expected a {' or '.join(kinds)} file, got {kind}")
     return _PARSERS[kind](data)
 
 
-def load_system(path: str):
+def load_system(path: str, *kinds: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -315,7 +323,7 @@ def load_system(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and over-long ints
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    return parse_system(data)
+    return parse_system(data, *kinds)
 
 
 def system_to_json(obj) -> dict:

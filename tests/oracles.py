@@ -20,9 +20,8 @@ from fbinv.arsys import (
     _component_offsets,
     _vectorize,
     is_observable,
-    mul_row_vector,
 )
-from fbinv.errors import DegreeMismatch, NotSquare, SyzygyBudgetExceeded
+from fbinv.errors import DegreeMismatch, NotSquare, SingularMatrix, SyzygyBudgetExceeded
 from fbinv.grassmann import GrassmannPoint
 from fbinv.ideals import DEFAULT_BUDGET, GroebnerBudget
 from fbinv.linalg import RatMatrix, frac
@@ -47,6 +46,44 @@ def random_observable_ar_system(rng: random.Random, m: int, p: int, n: int, lo: 
         ar = random_ar_system(rng, m, p, n, lo, hi)
         if is_observable(ar):
             return ar
+
+
+def det(mat: RatMatrix) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    if not mat.is_square():
+        raise SingularMatrix("determinant of a non-square matrix")
+    work = [list(row) for row in mat.entries]
+    n = mat.rows
+    sign = Fraction(1)
+    acc = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        piv = work[k][k]
+        acc *= piv
+        for i in range(k + 1, n):
+            if work[i][k] != 0:
+                f = work[i][k] / piv
+                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
+    return acc * sign
+
+
+def mul_row_vector(vec: Sequence[HomPoly], M: HomPolyMatrix) -> tuple[HomPoly, ...]:
+    """Row vector times polynomial matrix."""
+    out = []
+    for j in range(M.cols):
+        acc = None
+        for k, poly in enumerate(vec):
+            if poly.is_zero():
+                continue
+            term = poly * M.entries[k][j]
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else HomPoly.zero(0))
+    return tuple(out)
 
 
 def grassmann_point_of(mat: RatMatrix) -> GrassmannPoint:
@@ -90,7 +127,7 @@ def laplace_stacked_determinant(P: HomPolyMatrix, K: RatMatrix) -> HomPoly:
     base = p * (p - 1) // 2
     for idx, cols in enumerate(combinations(range(width), p)):
         comp = [c for c in range(width) if c not in cols]
-        kminor = K.submatrix(range(K.rows), comp).det()
+        kminor = det(K.submatrix(range(K.rows), comp))
         if kminor == 0 or minors[idx].is_zero():
             continue
         sign = -1 if (sum(cols) - base) % 2 else 1

@@ -83,3 +83,35 @@ def test_normal_form_span_sees_buchberger_reductions(monkeypatch):
     assert coefficients
     for c in coefficients:
         assert isinstance(c.numerator, int) and isinstance(c.denominator, int) and c.denominator > 0
+
+
+def _cli_chain_argvs() -> list[list[str]]:
+    """The argv lists of `CliChainWorkload._chain`, with a placeholder path prefix."""
+
+    def value(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return value(node.left) + value(node.right)
+        if isinstance(node, ast.Name) and node.id == "prefix":
+            return "sys0"
+        raise AssertionError(f"unexpected argv element {ast.dump(node)}")
+
+    for cls in _tree("workloads.py").body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "CliChainWorkload":
+            chain = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "_chain")
+            steps = next(
+                node.value
+                for node in ast.walk(chain)
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "steps" for t in node.targets)
+            )
+            return [[value(arg) for arg in argv.elts] for argv in steps.elts]
+    raise AssertionError("bench/workloads.py defines no CliChainWorkload")
+
+
+@pytest.mark.parametrize("argv", _cli_chain_argvs(), ids=" ".join)
+def test_cli_chain_argv_parses(argv):
+    from fbinv.cli import build_parser
+
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]

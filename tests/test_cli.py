@@ -1,10 +1,11 @@
+import argparse
 import dataclasses
 import json
 import random
 
 import pytest
 
-from fbinv.cli import _HANDLERS, main
+from fbinv.cli import build_parser, main
 from fbinv.reference import reference_system
 from fbinv.sampling import random_state_space
 from fbinv.serialize import MAX_DEGREE, ar_to_json, dumps, state_space_to_json
@@ -298,8 +299,12 @@ _ARGV = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_HANDLERS))
-def test_output_file_is_the_printed_report(capsys, tmp_path, command):
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _write_inputs(tmp_path, command) -> list[str]:
     argv = [command]
     for arg in _ARGV[command]:
         if arg in _INPUTS:
@@ -307,6 +312,82 @@ def test_output_file_is_the_printed_report(capsys, tmp_path, command):
             path.write_text(dumps(_INPUTS[arg]))
             arg = str(path)
         argv.append(arg)
+    return argv
+
+
+def test_argv_table_names_every_subcommand():
+    assert sorted(_ARGV) == sorted(_subcommands())
+
+
+_GROEBNER = {"--budget", "--max-degree"}
+# the options of each command beyond -h, --format and -o: only those its handler reads
+_OPTIONS = {
+    "factorize": {"--strict"},
+    "homogenize": set(),
+    "kernel": set(),
+    "observable-part": set(),
+    "nondegenerate": _GROEBNER,
+    "stability": {"--mode", "--seed"} | _GROEBNER,
+    "miso-invariant": set(),
+    "equivalent": set(),
+    "act": {"--transform"},
+    "embed": {"--ell", "--no-pluecker"},
+    "pencil-check": set(),
+    "pencil-to-ar": {"--keep-pencil-order"},
+    "verify-example51": {"--seed"} | _GROEBNER,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_each_command_takes_only_the_flags_it_reads(command):
+    parser = _subcommands()[command]
+    options = {flag for action in parser._actions for flag in action.option_strings}
+    assert options == {"-h", "--help", "--format", "-o", "--output"} | _OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("kernel", "--seed"), ("factorize", "--budget"), ("equivalent", "--max-degree")]
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*_write_inputs(tmp_path, command), flag, "1"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["kernel", "factorize", "nondegenerate"])
+def test_seed_env_is_ignored_by_commands_without_a_seed(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("FBINV_SEED", "abc")
+    code, report = run(capsys, *_write_inputs(tmp_path, command))
+    assert code == 0
+    assert "error" not in report
+
+
+# the kind of each input of _INPUTS
+_KIND = {"ar": "ar", "miso": "ar", "ss": "state_space", "mfd": "mfd", "pencil": "pencil", "transform": "transform"}
+_WRONG_KIND_CASES = [
+    (command, slot) for command in sorted(_ARGV) for slot, arg in enumerate(_ARGV[command]) if arg in _INPUTS
+]
+
+
+@pytest.mark.parametrize("command, slot", _WRONG_KIND_CASES)
+def test_an_input_of_the_wrong_kind_is_a_parse_error(capsys, tmp_path, command, slot):
+    argv = _write_inputs(tmp_path, command)
+    name = _ARGV[command][slot]
+    expected = "ar or mfd or pencil" if (command, name) == ("act", "miso") else _KIND[name]
+    wrong = "pencil" if name == "transform" else "transform"
+    path = tmp_path / "wrong.json"
+    path.write_text(dumps(_INPUTS[wrong]))
+    argv[slot + 1] = str(path)
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report["error"] == "ParseError"
+    assert report["message"] == f"expected a {expected} file, got {wrong}"
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_output_file_is_the_printed_report(capsys, tmp_path, command):
+    argv = _write_inputs(tmp_path, command)
     out = tmp_path / "report.json"
     code = main([*argv, "-o", str(out)])
     printed = capsys.readouterr().out
@@ -365,6 +446,8 @@ _REFERENCE_AR = ar_to_json(reference_system())
         # raw JSON text: past Python's int-string limit, and nested past the recursion limit
         ("nondegenerate", json.dumps({**_REFERENCE_AR, "m": 0}).replace('"m": 0', '"m": ' + "1" * 5001)),
         ("kernel", "[" * 100000 + "]" * 100000),
+        ("factorize", {"kind": "state_space", "A": [], "B": [], "C": [], "D": []}),
+        ("factorize", {"kind": "state_space", "A": [["1"]], "B": [[]], "C": [["1"]], "D": [[]]}),
     ],
     ids=[
         "ar-row-not-a-list",
@@ -379,6 +462,8 @@ _REFERENCE_AR = ar_to_json(reference_system())
         "mfd-reduced-from-negative",
         "int-over-digit-limit",
         "array-nested-too-deep",
+        "state-space-empty",
+        "state-space-no-input",
     ],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, doc):
