@@ -6,8 +6,9 @@ reduced Groebner basis {1}?".  Most systems asked about have a constant in
 the linear span of their generators, so a row reduction over the monomials
 runs first and answers those with constant cofactors a caller can check.
 Buchberger keeps primitive integer polynomials and reduces fraction-free; only
-the reduced basis it returns is monic over the rationals.  A budget (S-pairs
-processed, total degree) turns runaway computations into an explicit
+the reduced basis it returns is monic over the rationals.  It takes S-pairs
+in sugar order and prunes them by the Gebauer-Moeller criteria.  A budget
+(S-pairs reduced, total degree) turns runaway computations into an explicit
 BudgetExceeded verdict instead of a wrong answer.
 """
 
@@ -23,6 +24,7 @@ from typing import Sequence
 
 from .linalg import integer_rref
 from .multipoly import (
+    Exponents,
     MultiPoly,
     OrderKey,
     divides,
@@ -35,6 +37,12 @@ from .poly import UniPoly
 
 @dataclass(frozen=True)
 class GroebnerBudget:
+    """Limits of one Buchberger run.
+
+    `max_pairs` counts the S-pairs reduced, those left after Gebauer-Moeller
+    pruning; `max_degree` bounds the total degree of a new basis member.
+    """
+
     max_pairs: int = 2000
     max_degree: int = 60
 
@@ -84,62 +92,66 @@ def _buchberger(
     """Return (basis, exceeded).  The basis is reduced when not exceeded.
 
     The basis is kept as primitive integer polynomials, which are nonzero
-    multiples of the monic ones and so have the same leading monomials,
-    pairs and criteria; only `_reduce_basis` makes it monic.
+    multiples of the monic ones and so have the same leading monomials;
+    only `_reduce_basis` makes it monic.  S-pairs are taken by sugar (a
+    generator's is its total degree, a new member's that of its pair; Giovini
+    et al. 1991), then by the degree and order of their lcm, and are pruned
+    by the Gebauer-Moeller criteria each time a member is added.  Every pair
+    that survives the pruning is reduced, and `budget.max_pairs` counts those.
     """
-    basis = [g.primitive() for g in generators if not g.is_zero()]
-    if not basis:
-        return [], False
-    variables = basis[0].variables
+    basis: list[MultiPoly] = []
+    leads: list[Exponents] = []
+    sugars: list[int] = []
+    # heap of ((sugar, deg lcm, key(lcm)), i, j, lcm)
+    pairs: list[tuple[tuple, int, int, Exponents]] = []
 
-    leads = [g.leading(key)[0] for g in basis]
-    heap: list[tuple[tuple, int, int]] = []
+    def add(g: MultiPoly, sugar: int) -> None:
+        new_lead = g.leading(key)[0]
+        new_deg = sum(new_lead)
+        lcms = [tuple(map(max, lead, new_lead)) for lead in leads]
+        # (B) an old pair is redundant when the new lead divides its lcm,
+        # unless that lcm is the lcm of one of its members with the new lead
+        pairs[:] = [
+            q
+            for q in pairs
+            if not divides(new_lead, q[3]) or q[3] == lcms[q[1]] or q[3] == lcms[q[2]]
+        ]
+        # (M) a new pair is redundant when another new pair's lcm properly divides its lcm
+        classes: dict[Exponents, list[int]] = {}
+        for i, lcm in enumerate(lcms):
+            if not any(other != lcm and divides(other, lcm) for other in lcms):
+                classes.setdefault(lcm, []).append(i)
+        # (F) keep one new pair per lcm, none when one of them has coprime leads
+        for lcm, members in classes.items():
+            if any(not any(map(min, leads[i], new_lead)) for i in members):
+                continue
+            degree = sum(lcm)
+            pair_sugar, i = min(
+                (max(sugars[i] + degree - sum(leads[i]), sugar + degree - new_deg), i) for i in members
+            )
+            pairs.append(((pair_sugar, degree, key(lcm)), i, len(basis), lcm))
+        heapq.heapify(pairs)
+        basis.append(g)
+        leads.append(new_lead)
+        sugars.append(sugar)
 
-    def lcm_of(i: int, j: int):
-        return tuple(map(max, leads[i], leads[j]))
-
-    def push(i: int, j: int):
-        lcm = lcm_of(i, j)
-        heapq.heappush(heap, ((sum(lcm), key(lcm)), i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
-
-    done: set[tuple[int, int]] = set()
-    pairs_processed = 0
-    while heap:
-        if pairs_processed >= budget.max_pairs:
+    for g in generators:
+        if not g.is_zero():
+            add(g.primitive(), g.total_degree())
+    reduced = 0
+    while pairs:
+        (sugar, _, _), i, j, _ = heapq.heappop(pairs)
+        if reduced >= budget.max_pairs:
             return basis, True
-        _, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        pairs_processed += 1
-        lcm = lcm_of(i, j)
-        # product criterion: coprime leading monomials reduce to zero
-        if not any(map(min, leads[i], leads[j])):
-            continue
-        # chain criterion
-        if any(
-            k not in (i, j)
-            and divides(leads[k], lcm)
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
-        ):
-            continue
+        reduced += 1
         rem = normal_form(_s_polynomial(basis[i], basis[j], key), basis, key)
         if rem.is_zero():
             continue
         if rem.total_degree() > budget.max_degree:
             return basis, True
-        rem = rem.primitive()
-        basis.append(rem)
-        leads.append(rem.leading(key)[0])
-        new_index = len(basis) - 1
-        for k in range(new_index):
-            push(k, new_index)
         if rem.is_constant():
-            return [MultiPoly.constant(variables, 1)], False
+            return [MultiPoly.constant(rem.variables, 1)], False
+        add(rem.primitive(), sugar)
     return _reduce_basis(basis, key), False
 
 

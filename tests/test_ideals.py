@@ -63,6 +63,15 @@ def test_budget_exceeded_is_a_verdict():
     assert verdict.basis is None
 
 
+def test_budget_counts_only_reduced_pairs():
+    """Coprime leads leave no pair to reduce, so a zero pair budget still decides."""
+    xy = ("x", "y")
+    gens = [poly(xy, {(2, 0): 1, (0, 0): -1}), poly(xy, {(0, 2): 1, (0, 0): -2})]
+    verdict = groebner(gens, GroebnerBudget(max_pairs=0))
+    assert verdict.status == IdealStatus.HAS_COMPLEX_SOLUTION
+    assert verdict.basis == tuple(gens)
+
+
 def test_basis_is_reduced_and_contains_generators():
     rng = random.Random(5)
     xy = ("x", "y")
@@ -182,10 +191,19 @@ def test_groebner_agrees_with_plain_buchberger_on_chart_systems(p, m, n):
     assert certified > 0
 
 
-def assert_same_buchberger(gens, budget, key):
-    """The fraction-free engine and the Fraction oracle agree on exceeded and on the reduced basis."""
+def assert_same_buchberger(gens, budget, key, full=None):
+    """The engine and the Fraction oracle reach the same reduced basis.
+
+    Without `full`, both run at `budget` and agree on exceeded too.  With it,
+    `budget` is small, and the two engines reduce different pairs (sugar order
+    with Gebauer-Moeller pruning against lcm-degree order with Buchberger's
+    criteria), so they may run out at different points: a basis the engine
+    finishes within `budget` must then be the oracle's at `full`.
+    """
     basis, exceeded = _buchberger(gens, budget, key)
-    expected, expected_exceeded = fraction_buchberger(gens, budget, key)
+    if full is not None and exceeded:
+        return exceeded
+    expected, expected_exceeded = fraction_buchberger(gens, full or budget, key)
     assert exceeded == expected_exceeded
     if not exceeded:
         assert basis == expected
@@ -201,9 +219,9 @@ CHART_SPECS = [(2, 2, (2, 2)), (3, 2, (2, 2, 2)), (4, 2, (2, 2, 2, 2)), (2, 3, (
 def test_buchberger_agrees_with_fraction_oracle_on_chart_systems(p, m, degrees):
     """The generators groebner hands to Buchberger, as the chart searches record them.
 
-    Budget outcomes agree at small pair budgets in grevlex and lex, reduced
-    bases agree in grevlex, and in lex wherever solve_if_zero_dimensional
-    would ask for one.
+    A basis finished at a small pair budget is the full-budget one, in grevlex
+    and lex; at full budget the reduced bases agree in grevlex, and in lex
+    wherever solve_if_zero_dimensional would ask for one.
     """
     reached = 0
     for gens in recorded_chart_systems(0, p, m, sum(degrees), list(degrees)):
@@ -217,12 +235,31 @@ def test_buchberger_agrees_with_fraction_oracle_on_chart_systems(p, m, degrees):
         for max_pairs in (1, 3, 10):
             budget = GroebnerBudget(max_pairs=max_pairs, max_degree=DEFAULT_BUDGET.max_degree)
             for key in (grevlex_key, lex_key):
-                assert_same_buchberger(rows, budget, key)
+                assert_same_buchberger(rows, budget, key, full=DEFAULT_BUDGET)
         assert not assert_same_buchberger(rows, DEFAULT_BUDGET, grevlex_key)
         basis, _ = _buchberger(rows, DEFAULT_BUDGET, grevlex_key)
         if not basis[0].is_constant() and is_zero_dimensional(basis):
             assert_same_buchberger(basis, LEX_BUDGET, lex_key)
     assert reached > 0
+
+
+def test_pruning_reaches_the_unit_ideal_within_fewer_pairs():
+    """The first chart of a balanced (p, m, n) = (4, 2, 8) nondegeneracy search.
+
+    Its 9 quadrics in 8 parameters end in {1}.  Sugar order with
+    Gebauer-Moeller pruning gets there by reducing 23 pairs (4 of them to
+    zero); the oracle's lcm-degree order with Buchberger's criteria pops 45
+    pairs, so it runs out of a 23-pair budget.
+    """
+    ar = random_ar_system(random.Random(0), 2, 4, 8, row_degrees=[2, 2, 2, 2])
+    generators, _ = stability._chart_minor_system(stability._stacked_combination(ar, 2), (0, 1), 6)
+    generators = [g for g in generators if not g.is_zero()]
+    rows, certificate = _linear_step(generators, generators[0].variables)
+    assert certificate is None and len(rows) == 9 and len(rows[0].variables) == 8
+    budget = GroebnerBudget(max_pairs=23)
+    basis, exceeded = _buchberger(rows, budget, grevlex_key)
+    assert not exceeded and basis == [MultiPoly.constant(rows[0].variables, 1)]
+    assert fraction_buchberger(rows, budget, grevlex_key)[1]
 
 
 def random_fraction_poly(rng, variables, max_terms=4):
@@ -262,7 +299,7 @@ def test_buchberger_agrees_with_fraction_oracle_property():
         gens = [MultiPoly(("x", "y", "z"), t) for t in terms]
         budget = GroebnerBudget(max_pairs=max_pairs, max_degree=8)
         for key in (grevlex_key, lex_key):
-            assert_same_buchberger(gens, budget, key)
+            assert_same_buchberger(gens, budget, key, full=DEFAULT_BUDGET)
         f = gens[0] * gens[-1] + gens[0]
         for key in (grevlex_key, lex_key):
             assert normal_form(f, gens[1:], key) == fraction_normal_form(f, gens[1:], key)

@@ -224,16 +224,21 @@ def test_a_subspace_without_full_row_rank_is_never_a_witness():
 
 
 def ladder_system():
-    return random_ar_system(random.Random(0), 2, 2, 3, row_degrees=(0, 3))
+    # its h = 2 row stays undecided below three reduced S-pairs per chart
+    return random_ar_system(random.Random(0), 3, 2, 5, row_degrees=(1, 4))
+
+
+UNDECIDED = {1: (True, True), 2: (None, None), 3: (True, True), 4: (True, True)}
+SETTLED = {1: (True, True), 2: (False, False), 3: (True, True), 4: (True, True)}
 
 
 @pytest.mark.parametrize(
     "max_pairs, status, rows",
     [
-        (0, StabilityStatus.NOT_CERTIFIED, {1: (None, None), 2: (None, True), 3: (True, True)}),
-        (1, StabilityStatus.NOT_CERTIFIED, {1: (None, None), 2: (False, True), 3: (True, True)}),
-        (3, StabilityStatus.CRITERION_FAILS, {1: (False, False), 2: (False, True), 3: (True, True)}),
-        (10, StabilityStatus.CRITERION_FAILS, {1: (False, False), 2: (False, True), 3: (True, True)}),
+        (0, StabilityStatus.NOT_CERTIFIED, UNDECIDED),
+        (1, StabilityStatus.NOT_CERTIFIED, UNDECIDED),
+        (3, StabilityStatus.CRITERION_FAILS, SETTLED),
+        (10, StabilityStatus.CRITERION_FAILS, SETTLED),
     ],
 )
 def test_exhaustive_budget_ladder(max_pairs, status, rows):
