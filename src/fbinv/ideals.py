@@ -5,11 +5,12 @@ system have a common complex zero?", which by the Nullstellensatz is "is the
 reduced Groebner basis {1}?".  Most systems asked about have a constant in
 the linear span of their generators, so a row reduction over the monomials
 runs first and answers those with constant cofactors a caller can check.
-Buchberger keeps primitive integer polynomials and reduces fraction-free; only
-the reduced basis it returns is monic over the rationals.  It takes S-pairs
-in sugar order and prunes them by the Gebauer-Moeller criteria.  A budget
-(S-pairs reduced, total degree) turns runaway computations into an explicit
-BudgetExceeded verdict instead of a wrong answer.
+Buchberger makes its generators primitive integer polynomials once, and
+`normal_form` reduces them fraction-free and returns primitive remainders;
+only the reduced basis it returns is monic over the rationals.  It takes
+S-pairs in sugar order and prunes them by the Gebauer-Moeller criteria.  A
+budget (S-pairs reduced, total degree) turns runaway computations into an
+explicit BudgetExceeded verdict instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -78,12 +79,12 @@ class IdealVerdict:
 
 
 def _s_polynomial(f: MultiPoly, g: MultiPoly, key: OrderKey) -> MultiPoly:
-    """a*x^u*f - b*x^v*g for integer f and g, with coprime a, b cancelling the leading terms."""
+    """(gc/d)*x^u*f - (fc/d)*x^v*g: integer f and g with leading coefficients fc, gc, d = gcd(fc, gc)."""
     fe, fc = f.leading(key)
     ge, gc = g.leading(key)
     lcm = tuple(map(max, fe, ge))
-    d = math.gcd(fc.numerator, gc.numerator)
-    return f.mul_term(tuple(map(sub, lcm, fe)), gc / d) - g.mul_term(tuple(map(sub, lcm, ge)), fc / d)
+    d = math.gcd(fc, gc)
+    return f.mul_term(tuple(map(sub, lcm, fe)), gc // d) - g.mul_term(tuple(map(sub, lcm, ge)), fc // d)
 
 
 def _buchberger(
@@ -92,11 +93,12 @@ def _buchberger(
     """Return (basis, exceeded).  The basis is reduced when not exceeded.
 
     The basis is kept as primitive integer polynomials, which are nonzero
-    multiples of the monic ones and so have the same leading monomials;
-    only `_reduce_basis` makes it monic.  S-pairs are taken by sugar (a
-    generator's is its total degree, a new member's that of its pair; Giovini
-    et al. 1991), then by the degree and order of their lcm, and are pruned
-    by the Gebauer-Moeller criteria each time a member is added.  Every pair
+    multiples of the monic ones and so have the same leading monomials; each
+    remainder is added as `normal_form` returns it, and only `_reduce_basis`
+    makes the basis monic.  S-pairs are taken by sugar (a generator's is its
+    total degree, a new member's that of its pair; Giovini et al. 1991), then
+    by the degree and order of their lcm, and are pruned by the
+    Gebauer-Moeller criteria each time a member is added.  Every pair
     that survives the pruning is reduced, and `budget.max_pairs` counts those.
     """
     basis: list[MultiPoly] = []
@@ -151,7 +153,7 @@ def _buchberger(
             return basis, True
         if rem.is_constant():
             return [MultiPoly.constant(rem.variables, 1)], False
-        add(rem.primitive(), sugar)
+        add(rem, sugar)
     return _reduce_basis(basis, key), False
 
 
@@ -172,7 +174,7 @@ def _reduce_basis(basis: list[MultiPoly], key: OrderKey) -> list[MultiPoly]:
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         if others:
-            kept[i] = normal_form(g, others, key).primitive()
+            kept[i] = normal_form(g, others, key)
     kept = [g.monic(key) for g in kept]
     kept.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
     return kept

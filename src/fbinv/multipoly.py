@@ -1,8 +1,8 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials with integer or rational coefficients.
 
 These carry the parametrized coefficient systems produced by chart
 parametrizations (unknown entries of constant matrices) and their Groebner
-reductions.
+reductions, which run on integer polynomials.
 """
 
 from __future__ import annotations
@@ -29,19 +29,23 @@ def lex_key(exps: Exponents) -> tuple:
 
 
 class MultiPoly:
-    """Polynomial in named variables; terms maps exponent vectors to coefficients."""
+    """Polynomial in named variables; terms maps exponent vectors to coefficients.
+
+    A coefficient is an int when given as one and a Fraction otherwise, so
+    the polynomials built from integers stay integer polynomials.
+    """
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, int | Fraction] | None = None):
         self.variables = tuple(variables)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         if terms:
             n = len(self.variables)
             for exps, coeff in terms.items():
                 if len(exps) != n:
                     raise DegreeMismatch("exponent vector does not match variable count")
-                c = frac(coeff)
+                c = coeff if type(coeff) is int else frac(coeff)  # a float raises TypeError
                 if c != 0:
                     clean[tuple(exps)] = c
         self.terms = clean
@@ -55,7 +59,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, variables: Sequence[str], index: int) -> "MultiPoly":
         exps = tuple(1 if i == index else 0 for i in range(len(variables)))
-        return cls(variables, {exps: ONE})
+        return cls(variables, {exps: 1})
 
     # -- basic queries -------------------------------------------------------
 
@@ -68,7 +72,7 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def leading(self, key: OrderKey = grevlex_key) -> tuple[Exponents, Fraction]:
+    def leading(self, key: OrderKey = grevlex_key) -> tuple[Exponents, int | Fraction]:
         exps = max(self.terms, key=key)
         return exps, self.terms[exps]
 
@@ -88,7 +92,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, ZERO) + c
+            out[exps] = out.get(exps, 0) + c
         return MultiPoly(self.variables, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -99,23 +103,23 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, ZERO) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.variables, out)
 
     def scale(self, c) -> "MultiPoly":
-        c = frac(c)
         return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
 
-    def mul_term(self, exps: Exponents, coeff: Fraction) -> "MultiPoly":
+    def mul_term(self, exps: Exponents, coeff: int | Fraction) -> "MultiPoly":
         return MultiPoly(self.variables, {tuple(map(add, e, exps)): c * coeff for e, c in self.terms.items()})
 
     def primitive(self) -> "MultiPoly":
-        """The integer multiple of self whose coefficients have gcd 1."""
-        ints, _ = _integer_terms(self.terms)
+        """The positive multiple of self with int coefficients of gcd 1."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
         content = math.gcd(*ints.values())
         return MultiPoly(self.variables, {e: v // content for e, v in ints.items()})
 
@@ -163,29 +167,23 @@ def divides(e1: Exponents, e2: Exponents) -> bool:
     return all(map(le, e1, e2))
 
 
-def _integer_terms(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
-    """(ints, den): ints = den * terms, den the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
-
-
 def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly], key: OrderKey = grevlex_key) -> MultiPoly:
-    """Remainder of multivariate division of f by the list of divisors.
+    """Primitive remainder of multivariate division of f by the list of divisors.
 
-    Fraction-free: with f and the divisors scaled to integers, eliminating the
+    f and the divisors have int coefficients.  Fraction-free: eliminating the
     leading term c*x^w of p by g = g_c*x^v + ... is p := a*p - b*x^(w-v)*g,
-    a/b = g_c/c in lowest terms.  The remainder r collected so far is scaled
-    along with p, their common content is divided out after each scaling, and
-    r over the accumulated scale is the remainder of division over Q.
+    a/b = g_c/c in lowest terms with a > 0.  The remainder r collected so far
+    is scaled along with p and their common content is divided out after each
+    scaling, so r ends as a positive multiple of the remainder of division
+    over Q; it is returned divided by its content.
     """
     heads = []
     for g in divisors:
         if g.terms:
-            tail, _ = _integer_terms(g.terms)
+            tail = dict(g.terms)
             lead = max(tail, key=key)
             heads.append((lead, tail.pop(lead), tail))
-    p, den = _integer_terms(f.terms)
-    scale = Fraction(den)
+    p = dict(f.terms)
     order = {e: key(e) for e in p}  # the order key of every monomial met
     rem: dict[Exponents, int] = {}
     while p:
@@ -212,12 +210,12 @@ def normal_form(f: MultiPoly, divisors: Sequence[MultiPoly], key: OrderKey = gre
             if m not in order:
                 order[m] = key(m)
         if a != 1:
-            content = math.gcd(*p.values(), *rem.values()) or 1
+            content = math.gcd(*p.values(), *rem.values())
             if content > 1:
                 p = {e: v // content for e, v in p.items()}
                 rem = {e: v // content for e, v in rem.items()}
-            scale = scale * a / content
-    return MultiPoly(f.variables, {e: v / scale for e, v in rem.items()})
+    content = math.gcd(*rem.values())
+    return MultiPoly(f.variables, {e: v // content for e, v in rem.items()})
 
 
 def mp_det(grid: Sequence[Sequence[MultiPoly]], variables: Sequence[str]) -> MultiPoly:

@@ -1,7 +1,7 @@
 """Generalized first-order representations K x' + L x + M w = 0.
 
 External variables are ordered w = (y; u) here, forced by the block layout of
-the state-space embedding; `PENCIL_TO_AR_PERMUTATION` bridges to the (u; y)
+the state-space embedding; `reorder_to_input_first` bridges to the (u; y)
 convention used by the realization and autoregressive modules.
 """
 
@@ -115,25 +115,10 @@ def to_ar(ps: PencilSystem) -> ARSystem:
     return validate(P, [d - 1 for d, _ in gens], m=ps.m, p=ps.p)
 
 
-def pencil_to_ar_permutation(m: int, p: int) -> RatMatrix:
-    """Column permutation carrying (y; u)-ordered rows to (u; y)-ordered ones.
-
-    Right-multiplying a row vector by this matrix moves the p output columns
-    behind the m input columns.
-    """
-    width = m + p
-    grid = [[0] * width for _ in range(width)]
-    for j in range(p):
-        grid[j][m + j] = 1
-    for j in range(m):
-        grid[p + j][j] = 1
-    return RatMatrix.from_rows(grid)
-
-
 def reorder_to_input_first(ar: ARSystem) -> ARSystem:
-    """Apply the declared (y; u) -> (u; y) bridge to an autoregressive system."""
-    perm = pencil_to_ar_permutation(ar.m, ar.p)
-    return validate(ar.P.mul_rat(perm), ar.row_degrees, ar.m, ar.p)
+    """Move the p output columns of a (y; u)-ordered system behind its m input columns."""
+    columns = [*range(ar.p, ar.m + ar.p), *range(ar.p)]
+    return validate(ar.P.submatrix(range(ar.P.rows), columns), ar.row_degrees, ar.m, ar.p)
 
 
 def to_state_space(ps: PencilSystem) -> StateSpace:

@@ -458,7 +458,7 @@ def exact_div(f: MultiPoly, g: MultiPoly, key: OrderKey = grevlex_key) -> MultiP
         if not divides(g_exps, lt_exps):
             raise DegreeMismatch("division is not exact")
         shift = tuple(a - b for a, b in zip(lt_exps, g_exps))
-        c = lt_c / g_c
+        c = Fraction(lt_c) / g_c
         quo = quo + MultiPoly(f.variables, {shift: c})
         rem = rem - g.mul_term(shift, c)
     return quo

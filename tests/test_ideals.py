@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fbinv import stability
+from fbinv import ideals, stability
 from fbinv.ideals import (
     DEFAULT_BUDGET,
     LEX_BUDGET,
@@ -90,15 +91,15 @@ def test_basis_is_reduced_and_contains_generators():
         verdict = groebner(gens, GroebnerBudget(max_pairs=500, max_degree=30))
         if verdict.status == IdealStatus.BUDGET_EXCEEDED:
             continue
-        basis = list(verdict.basis)
+        basis = [b.primitive() for b in verdict.basis]
         # every original generator reduces to zero
         for g in gens:
-            assert normal_form(g, basis).is_zero()
+            assert normal_form(g.primitive(), basis).is_zero()
         # reduced: leading coefficient 1, no term divisible by another leading term
-        for i, b in enumerate(basis):
+        for i, b in enumerate(verdict.basis):
             assert b.leading(grevlex_key)[1] == 1
             others = basis[:i] + basis[i + 1 :]
-            assert normal_form(b, others) == b
+            assert normal_form(basis[i], others) == basis[i]
 
 
 def test_linear_systems_agree_with_rref():
@@ -271,8 +272,20 @@ def random_fraction_poly(rng, variables, max_terms=4):
     return MultiPoly(variables, terms)
 
 
+def assert_primitive_remainder(f, divisors, key):
+    """normal_form on the primitive forms is the primitive remainder over the rationals.
+
+    Scaling f and the divisors by positive factors scales the remainder of
+    division over Q by a positive factor, so the primitive forms agree.
+    """
+    rem = normal_form(f.primitive(), [g.primitive() for g in divisors], key)
+    assert rem == fraction_normal_form(f, divisors, key).primitive()
+    assert all(type(c) is int for c in rem.terms.values())
+    return rem
+
+
 def test_normal_form_is_the_exact_remainder():
-    """Fraction-free division returns the remainder division over the rationals gives."""
+    """Fraction-free division returns the primitive remainder division over the rationals gives."""
     rng = random.Random(43)
     xyz = ("x", "y", "z")
     nonzero = 0
@@ -280,10 +293,52 @@ def test_normal_form_is_the_exact_remainder():
         f = random_fraction_poly(rng, xyz, 8)
         divisors = [random_fraction_poly(rng, xyz) for _ in range(rng.randint(0, 4))]
         for key in (grevlex_key, lex_key):
-            rem = normal_form(f, divisors, key)
-            assert rem == fraction_normal_form(f, divisors, key)
-            nonzero += not rem.is_zero()
+            nonzero += not assert_primitive_remainder(f, divisors, key).is_zero()
     assert nonzero > 100
+
+
+def test_chart_systems_and_remainders_keep_int_coefficients(monkeypatch):
+    """Chart systems are integer polynomials, and Buchberger reduces them without leaving the integers."""
+    generators, remainders = [], []
+    build = stability._chart_minor_system
+
+    def built(*args):
+        found = build(*args)
+        generators.extend(found[0])
+        return found
+
+    def counted(*args):
+        remainders.append(normal_form(*args))
+        return remainders[-1]
+
+    monkeypatch.setattr(stability, "_chart_minor_system", built)
+    monkeypatch.setattr(ideals, "normal_form", counted)
+    for m, degrees in ((2, [2, 2]), (3, [1, 3])):
+        ar = random_ar_system(random.Random(0), m, 2, 4, row_degrees=degrees)
+        stability.is_nondegenerate(ar)
+        stability.stability_check(ar)
+    assert generators and len(remainders) > 50
+    for g in generators:
+        assert all(type(c) is int for c in g.terms.values())
+    for rem in remainders:
+        assert all(type(c) is int for c in rem.terms.values())
+        assert rem.is_zero() or math.gcd(*rem.terms.values()) == 1
+
+
+def test_no_float_coefficient_gets_in():
+    """With int coefficients a / b is a float; every entry point rejects one."""
+    x = MultiPoly.variable(("x",), 0)
+    with pytest.raises(TypeError):
+        MultiPoly(("x",), {(1,): 0.5})
+    with pytest.raises(TypeError):
+        x.scale(0.5)
+    with pytest.raises(TypeError):
+        x.mul_term((1,), 0.5)
+    # normal_form reduces integer polynomials only
+    with pytest.raises(TypeError):
+        normal_form(MultiPoly(("x",), {(1,): Fraction(1, 2)}), [])
+    with pytest.raises(TypeError):
+        normal_form(MultiPoly(("x",), {(1,): Fraction(1, 2), (0,): 1}), [x])
 
 
 def test_buchberger_agrees_with_fraction_oracle_property():
@@ -302,7 +357,7 @@ def test_buchberger_agrees_with_fraction_oracle_property():
             assert_same_buchberger(gens, budget, key, full=DEFAULT_BUDGET)
         f = gens[0] * gens[-1] + gens[0]
         for key in (grevlex_key, lex_key):
-            assert normal_form(f, gens[1:], key) == fraction_normal_form(f, gens[1:], key)
+            assert_primitive_remainder(f, gens[1:], key)
 
     check()
 
